@@ -89,20 +89,26 @@ util::Status ResourceGraph::add_edge(VertexId src, VertexId dst,
 }
 
 namespace {
-void repath(ResourceGraph& g, VertexId v,
-            std::unordered_map<std::string, VertexId>& by_path,
-            const std::string& parent_path) {
-  Vertex& vx = g.vertex(v);
-  // Only drop the registration if it is really ours: a sibling created
-  // later may have transiently reused the same pre-containment path.
-  if (auto it = by_path.find(vx.path);
-      it != by_path.end() && it->second == v) {
-    by_path.erase(it);
-  }
-  vx.path = parent_path + "/" + vx.name;
-  by_path[vx.path] = v;
-  for (VertexId c : g.containment_children(v)) {
-    repath(g, c, by_path, vx.path);
+/// Recompute the paths of `root`'s containment subtree from its (new)
+/// parent's path, preorder. Iterative: the subtree may come from
+/// untrusted input of any depth.
+void repath(ResourceGraph& g, VertexId root,
+            std::unordered_map<std::string, VertexId>& by_path) {
+  std::vector<VertexId> stack{root};
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    Vertex& vx = g.vertex(v);
+    // Only drop the registration if it is really ours: a sibling created
+    // later may have transiently reused the same pre-containment path.
+    if (auto it = by_path.find(vx.path);
+        it != by_path.end() && it->second == v) {
+      by_path.erase(it);
+    }
+    vx.path = g.vertex(vx.containment_parent).path + "/" + vx.name;
+    by_path[vx.path] = v;
+    const auto children = g.containment_children(v);
+    stack.insert(stack.end(), children.rbegin(), children.rend());
   }
 }
 }  // namespace
@@ -114,12 +120,22 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
   if (vertices_[child].containment_parent != kInvalidVertex) {
     return util::Error{Errc::exists, "add_containment: child already placed"};
   }
+  // The containment tree must stay a tree: refuse a self-edge and any
+  // parent that already sits inside child's subtree.
+  for (VertexId a = parent; a != kInvalidVertex;
+       a = vertices_[a].containment_parent) {
+    if (a == child) {
+      return util::Error{Errc::invalid_argument,
+                         "add_containment: edge would create a containment "
+                         "cycle"};
+    }
+  }
   if (auto st = add_edge(parent, child, containment_, contains_); !st) {
     return st;
   }
   if (auto st = add_edge(child, parent, containment_, in_); !st) return st;
   vertices_[child].containment_parent = parent;
-  repath(*this, child, by_path_, vertices_[parent].path);
+  repath(*this, child, by_path_);
   const std::int32_t child_non_up =
       vertices_[child].non_up_below +
       (vertices_[child].status != ResourceStatus::up ? 1 : 0);

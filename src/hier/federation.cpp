@@ -86,9 +86,6 @@ util::Expected<std::unique_ptr<Federation>> Federation::create(
         inst->engine().traverser(), fed->cfg_.queue_policy);
     m->queue->set_eventlog(fed->cfg_.eventlog);
     m->queue->set_match_cache(fed->cfg_.match_cache);
-    if (fed->cfg_.match_threads > 1) {
-      m->queue->set_match_threads(fed->cfg_.match_threads);
-    }
     m->queue->set_traversal_mode(fed->cfg_.traversal_mode);
     m->queue->set_reservation_depth(fed->cfg_.reservation_depth);
     if (label) m->queue->set_instance_label(m->name);

@@ -15,14 +15,12 @@
 // A point exists only where the in-use amount changes; `in_use` holds for
 // the half-open interval from the point to the next point.
 //
-// Thread-safety (see docs/extending.md, "Concurrency contract"): the
-// const read path — avail_at, avail_during, avail_resources_during,
-// avail_time_first_ro, find_span — touches no planner state and is safe
-// to call from concurrent probe threads AS LONG AS no mutation (add_span,
-// rem_span, resize_total, or the mutating avail_time_first, which
-// temporarily unlinks ET nodes) runs at the same time. Probes and
-// mutations are serialised by the queue's speculation barrier, not by
-// the planner itself.
+// Mutation: the const read path — avail_at, avail_during,
+// avail_resources_during, avail_time_first_ro, find_span — touches no
+// planner state; add_span, rem_span, resize_total and the mutating
+// avail_time_first (which temporarily unlinks ET nodes) do. A planner
+// has one owner and no locking (see docs/extending.md, "Concurrency
+// contract").
 #pragma once
 
 #include <cstdint>
@@ -146,19 +144,18 @@ class Planner {
   /// Earliest t >= on_or_after such that avail_during(t, duration, request)
   /// (paper Algorithm 1 + SPANOK loop). Fails with unsatisfiable when
   /// request > total, resource_busy when no fit exists within the horizon.
-  /// NOT thread-safe even conceptually: rejected ET candidates are
-  /// unlinked from the tree for the duration of the search.
+  /// Mutates the tree while it runs: rejected ET candidates are unlinked
+  /// for the duration of the search.
   util::Expected<TimePoint> avail_time_first(TimePoint on_or_after,
                                              Duration duration,
                                              std::int64_t request);
 
-  /// Read-only avail_time_first for concurrent probes: walks the SP tree
-  /// in time order instead of set-aside iteration on the ET tree, so it
-  /// never touches planner state. Returns exactly what avail_time_first
-  /// returns — both visit feasible starts in increasing time order and
-  /// accept the first span_ok window — at O(points past on_or_after)
-  /// instead of O(log N) per candidate; the probe path trades that for
-  /// thread safety.
+  /// Read-only avail_time_first for the const probe path: walks the SP
+  /// tree in time order instead of set-aside iteration on the ET tree, so
+  /// it never touches planner state. Returns exactly what
+  /// avail_time_first returns — both visit feasible starts in increasing
+  /// time order and accept the first span_ok window — at O(points past
+  /// on_or_after) instead of O(log N) per candidate.
   util::Expected<TimePoint> avail_time_first_ro(TimePoint on_or_after,
                                                 Duration duration,
                                                 std::int64_t request) const;

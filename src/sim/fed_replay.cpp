@@ -1,66 +1,17 @@
 #include "sim/fed_replay.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <optional>
 
 #include "dynamic/dynamic.hpp"
+#include "sim/driver.hpp"
 #include "util/strings.hpp"
 
 namespace fluxion::sim {
 
 using util::Errc;
 
-util::Expected<FedReplayResult> replay_trace(
-    hier::Federation& fed, const std::vector<TraceJob>& trace,
-    std::int64_t cores_per_node) {
-  if (fed.now() != 0 || !fed.all_jobs().empty()) {
-    return util::Error{Errc::invalid_argument,
-                       "replay_trace: federation already used"};
-  }
-  std::vector<std::size_t> order(trace.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return trace[a].arrival < trace[b].arrival;
-                   });
-
-  FedReplayResult result;
-  result.ids.resize(trace.size(), -1);
-  for (std::size_t k = 0; k < order.size();) {
-    const util::TimePoint at = trace[order[k]].arrival;
-    while (true) {
-      const util::TimePoint ev = fed.next_event();
-      if (ev >= at) break;
-      if (auto st = fed.advance_to(ev); !st) return st.error();
-      fed.schedule();
-    }
-    if (auto st = fed.advance_to(std::max(fed.now(), at)); !st) {
-      return st.error();
-    }
-    while (k < order.size() && trace[order[k]].arrival <= fed.now()) {
-      const std::size_t idx = order[k];
-      auto js = trace_jobspec(trace[idx], cores_per_node);
-      if (!js) return js.error();
-      result.ids[idx] = fed.submit(*js);
-      ++k;
-    }
-    fed.schedule();
-  }
-  auto end = fed.run_to_completion();
-  if (!end) return end.error();
-  result.end_time = *end;
-  return result;
-}
-
 namespace {
-
-struct Act {
-  util::TimePoint at = 0;
-  bool is_job = false;
-  std::size_t idx = 0;
-};
 
 struct Owner {
   std::size_t member = 0;
@@ -148,12 +99,25 @@ util::Status apply_event(hier::Federation& fed,
 
 }  // namespace
 
+util::Expected<FedReplayResult> replay_trace(
+    hier::Federation& fed, const std::vector<TraceJob>& trace,
+    std::int64_t cores_per_node) {
+  if (auto st = detail::require_fresh(fed, "replay_trace"); !st) {
+    return st.error();
+  }
+  FedReplayResult result;
+  auto end = detail::drive(fed, trace, detail::act_order(trace, {}),
+                           cores_per_node, 0, {}, result.ids);
+  if (!end) return end.error();
+  result.end_time = *end;
+  return result;
+}
+
 util::Expected<FedScenarioResult> replay_scenario(
     hier::Federation& fed, const Scenario& scenario,
     std::int64_t cores_per_node, const RecipeResolver& resolver) {
-  if (fed.now() != 0 || !fed.all_jobs().empty()) {
-    return util::Error{Errc::invalid_argument,
-                       "replay_scenario: federation already used"};
+  if (auto st = detail::require_fresh(fed, "replay_scenario"); !st) {
+    return st.error();
   }
   std::vector<std::unique_ptr<dynamic::DynamicResources>> dyns;
   for (std::size_t i = 0; i < fed.member_count(); ++i) {
@@ -162,51 +126,14 @@ util::Expected<FedScenarioResult> replay_scenario(
         m.instance->engine().graph(), m.instance->engine().traverser(),
         m.queue.get()));
   }
-
-  std::vector<Act> acts;
-  acts.reserve(scenario.jobs.size() + scenario.events.size());
-  for (std::size_t i = 0; i < scenario.events.size(); ++i) {
-    acts.push_back({scenario.events[i].at, false, i});
-  }
-  for (std::size_t i = 0; i < scenario.jobs.size(); ++i) {
-    acts.push_back({scenario.jobs[i].arrival, true, i});
-  }
-  std::stable_sort(acts.begin(), acts.end(), [](const Act& a, const Act& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return !a.is_job && b.is_job;
-  });
-
   FedScenarioResult result;
-  result.ids.resize(scenario.jobs.size(), -1);
-  for (std::size_t k = 0; k < acts.size();) {
-    const util::TimePoint at = acts[k].at;
-    while (true) {
-      const util::TimePoint ev = fed.next_event();
-      if (ev >= at) break;
-      if (auto st = fed.advance_to(ev); !st) return st.error();
-      fed.schedule();
-    }
-    if (auto st = fed.advance_to(std::max(fed.now(), at)); !st) {
-      return st.error();
-    }
-    while (k < acts.size() && acts[k].at <= fed.now()) {
-      const Act& act = acts[k];
-      if (act.is_job) {
-        auto js = trace_jobspec(scenario.jobs[act.idx], cores_per_node);
-        if (!js) return js.error();
-        result.ids[act.idx] = fed.submit(*js);
-      } else {
-        if (auto st = apply_event(fed, dyns, scenario.events[act.idx],
-                                  resolver, result);
-            !st) {
-          return st.error();
-        }
-      }
-      ++k;
-    }
-    fed.schedule();
-  }
-  auto end = fed.run_to_completion();
+  detail::Hooks hooks;
+  hooks.apply_event = [&](std::size_t idx) {
+    return apply_event(fed, dyns, scenario.events[idx], resolver, result);
+  };
+  auto end = detail::drive(fed, scenario.jobs,
+                           detail::act_order(scenario.jobs, scenario.events),
+                           cores_per_node, 0, hooks, result.ids);
   if (!end) return end.error();
   result.end_time = *end;
   return result;

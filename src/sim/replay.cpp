@@ -1,69 +1,21 @@
 #include "sim/replay.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include "sim/driver.hpp"
 
 namespace fluxion::sim {
 
 namespace {
 
-std::vector<std::size_t> arrival_order(const std::vector<TraceJob>& trace) {
-  // Arrival order; ties keep trace order (stable).
-  std::vector<std::size_t> order(trace.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return trace[a].arrival < trace[b].arrival;
-                   });
-  return order;
-}
-
-/// Shared replay driver. Starts at sorted-arrival index `k0` (0 for a
-/// fresh queue; the restored submit count on resume). When
-/// `on_checkpoint` is set it fires once, at the batch boundary right
-/// before the first arrival later than `checkpoint_at` — a state the
-/// plain replay passes through anyway, so checkpointed and straight runs
-/// stay act-for-act identical.
-util::Expected<ReplayResult> drive(queue::JobQueue& q,
-                                   const std::vector<TraceJob>& trace,
-                                   std::int64_t cores_per_node,
-                                   std::size_t k0,
-                                   util::TimePoint checkpoint_at,
-                                   const CheckpointFn* on_checkpoint) {
-  const std::vector<std::size_t> order = arrival_order(trace);
+/// Replay `trace` from act `k0` with an optional checkpoint hook; a
+/// trace is a scenario with no events.
+util::Expected<ReplayResult> drive_trace(queue::JobQueue& q,
+                                         const std::vector<TraceJob>& trace,
+                                         std::int64_t cores_per_node,
+                                         std::size_t k0,
+                                         detail::Hooks hooks = {}) {
   ReplayResult result;
-  result.ids.resize(trace.size(), -1);
-  // On resume the first k0 arrivals already live in the queue; ids were
-  // assigned in submit order, which is exactly order[0..k0).
-  for (std::size_t j = 0; j < k0; ++j) {
-    result.ids[order[j]] = q.all_jobs()[j];
-  }
-  bool pending_checkpoint = on_checkpoint != nullptr;
-  for (std::size_t k = k0; k < order.size();) {
-    const util::TimePoint at = trace[order[k]].arrival;
-    if (pending_checkpoint && at > checkpoint_at) {
-      (*on_checkpoint)(q, k);
-      pending_checkpoint = false;
-    }
-    // Fire events (and free resources) on the way to this arrival.
-    while (true) {
-      const util::TimePoint ev = q.next_event();
-      if (ev >= at) break;
-      if (auto st = q.advance_to(ev); !st) return st.error();
-      q.schedule();  // completions may unblock pending jobs
-    }
-    if (auto st = q.advance_to(std::max(q.now(), at)); !st) return st.error();
-    while (k < order.size() && trace[order[k]].arrival <= q.now()) {
-      const std::size_t idx = order[k];
-      auto js = trace_jobspec(trace[idx], cores_per_node);
-      if (!js) return js.error();
-      result.ids[idx] = q.submit(*js);
-      ++k;
-    }
-    q.schedule();
-  }
-  if (pending_checkpoint) (*on_checkpoint)(q, order.size());
-  auto end = q.run_to_completion();
+  auto end = detail::drive(q, trace, detail::act_order(trace, {}),
+                           cores_per_node, k0, hooks, result.ids);
   if (!end) return end.error();
   result.end_time = *end;
   return result;
@@ -74,44 +26,35 @@ util::Expected<ReplayResult> drive(queue::JobQueue& q,
 util::Expected<ReplayResult> replay_trace(queue::JobQueue& q,
                                           const std::vector<TraceJob>& trace,
                                           std::int64_t cores_per_node) {
-  if (q.now() != 0 || q.stats().submitted != 0) {
-    return util::Error{util::Errc::invalid_argument,
-                       "replay_trace: queue already used"};
+  if (auto st = detail::require_fresh(q, "replay_trace"); !st) {
+    return st.error();
   }
-  return drive(q, trace, cores_per_node, 0, 0, nullptr);
+  return drive_trace(q, trace, cores_per_node, 0);
 }
 
 util::Expected<ReplayResult> replay_trace_checkpoint(
     queue::JobQueue& q, const std::vector<TraceJob>& trace,
     std::int64_t cores_per_node, util::TimePoint checkpoint_at,
     const CheckpointFn& on_checkpoint) {
-  if (q.now() != 0 || q.stats().submitted != 0) {
-    return util::Error{util::Errc::invalid_argument,
-                       "replay_trace: queue already used"};
+  if (auto st = detail::require_fresh(q, "replay_trace"); !st) {
+    return st.error();
   }
   if (!on_checkpoint) {
     return util::Error{util::Errc::invalid_argument,
                        "replay_trace: null checkpoint callback"};
   }
-  return drive(q, trace, cores_per_node, 0, checkpoint_at, &on_checkpoint);
+  // With no events, the number of acts applied is the number submitted.
+  detail::Hooks hooks;
+  hooks.on_checkpoint = [&](std::size_t applied) { on_checkpoint(q, applied); };
+  hooks.checkpoint_at = checkpoint_at;
+  return drive_trace(q, trace, cores_per_node, 0, std::move(hooks));
 }
 
 util::Expected<ReplayResult> resume_trace(queue::JobQueue& q,
                                           const std::vector<TraceJob>& trace,
                                           std::int64_t cores_per_node) {
-  const std::size_t k0 = static_cast<std::size_t>(q.stats().submitted);
-  if (k0 > trace.size()) {
-    return util::Error{util::Errc::invalid_argument,
-                       "resume_trace: queue holds " + std::to_string(k0) +
-                           " jobs but trace has only " +
-                           std::to_string(trace.size())};
-  }
-  if (q.all_jobs().size() != k0) {
-    return util::Error{util::Errc::invalid_argument,
-                       "resume_trace: queue job list disagrees with its "
-                       "submitted count"};
-  }
-  return drive(q, trace, cores_per_node, k0, 0, nullptr);
+  return drive_trace(q, trace, cores_per_node,
+                     static_cast<std::size_t>(q.stats().submitted));
 }
 
 }  // namespace fluxion::sim

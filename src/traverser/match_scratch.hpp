@@ -18,12 +18,11 @@
 //     each other. Frames are heap-pinned (unique_ptr) because a frame
 //     reference stays live across the recursion that may grow the vector.
 //
-// Ownership and threading: a MatchScratch belongs to exactly one caller at
-// a time. The queue's speculative pipeline gives each probe worker its own
-// instance; the traverser keeps one for its serial path. The scratch also
-// carries the probe's TraverserStats delta, which the traverser folds into
-// its lifetime counters only when the probe is consumed — wasted
-// speculative probes leave no trace in TraverserStats.
+// Ownership: a MatchScratch belongs to exactly one caller at a time. The
+// traverser keeps one for match(); each snapshot::Replica keeps its own.
+// The scratch also carries the probe's TraverserStats delta, which the
+// traverser folds into its lifetime counters only when the probe is
+// committed.
 #pragma once
 
 #include <algorithm>

@@ -143,13 +143,13 @@ bool Traverser::filter_admits(VertexId v, const util::TimeWindow& w,
   return true;
 }
 
-void Traverser::collect_candidates(VertexId from, util::InternId type,
-                                   const util::TimeWindow& w,
-                                   const Selection& sel,
-                                   const DenseDemand& per_instance_demand,
-                                   std::vector<VertexId>& out,
-                                   ParentMap& parent_of,
-                                   MatchScratch& sc) const {
+template <class Visit>
+bool Traverser::walk_candidates(VertexId from, util::InternId type,
+                                const util::TimeWindow& w,
+                                const Selection& sel,
+                                const DenseDemand& per_instance_demand,
+                                ParentMap& parent_of, MatchScratch& sc,
+                                Visit& visit) const {
   ++sc.stats.visits;
   ++sc.stats.last_visits;
   if (obs::enabled()) obs::monitor().trav_visits.inc();
@@ -161,12 +161,11 @@ void Traverser::collect_candidates(VertexId from, util::InternId type,
     ++sc.stats.status_pruned;
     if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
     if (sc.rejections.enabled) sc.rejections.add(vx.type, RejectReason::status);
-    return;
+    return false;
   }
-  if (vx.type == type) {
-    out.push_back(from);
-    return;  // do not search for a type nested inside itself
-  }
+  // A candidate: hand it over and do not search for a type nested inside
+  // itself.
+  if (vx.type == type) return visit(from);
   for (const graph::Edge& e : g_.out_edges(from)) {
     if (e.relation != g_.contains_rel() ||
         !g_.subsystem_visible(e.subsystem) || !g_.vertex(e.dst).alive) {
@@ -203,61 +202,8 @@ void Traverser::collect_candidates(VertexId from, util::InternId type,
       }
     }
     parent_of.set(child, from);
-    collect_candidates(child, type, w, sel, per_instance_demand, out,
-                       parent_of, sc);
-  }
-}
-
-bool Traverser::fm_search(VertexId from, util::InternId type,
-                          const util::TimeWindow& w, const Selection& sel,
-                          const DenseDemand& per_instance_demand,
-                          ParentMap& parent_of, MatchScratch& sc,
-                          const std::function<bool(VertexId)>& try_claim)
-    const {
-  ++sc.stats.visits;
-  ++sc.stats.last_visits;
-  if (obs::enabled()) obs::monitor().trav_visits.inc();
-  const graph::Vertex& vx = g_.vertex(from);
-  if (vx.status != graph::ResourceStatus::up) {
-    ++sc.stats.status_pruned;
-    if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
-    if (sc.rejections.enabled) sc.rejections.add(vx.type, RejectReason::status);
-    return false;
-  }
-  if (vx.type == type) {
-    // Claim in discovery order; a covered request unwinds the whole walk.
-    return try_claim(from);
-  }
-  for (const graph::Edge& e : g_.out_edges(from)) {
-    if (e.relation != g_.contains_rel() ||
-        !g_.subsystem_visible(e.subsystem) || !g_.vertex(e.dst).alive) {
-      continue;
-    }
-    const VertexId child = e.dst;
-    if (parent_of.contains(child)) continue;
-    const graph::Vertex& cx = g_.vertex(child);
-    if (cx.type != type) {
-      if (const RejectReason why = shareable_reason(child, w, sel);
-          why != RejectReason::none) {
-        if (why == RejectReason::status) {
-          ++sc.stats.status_pruned;
-          if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
-        }
-        if (sc.rejections.enabled) sc.rejections.add(cx.type, why);
-        continue;
-      }
-      if (!filter_admits(child, w, per_instance_demand)) {
-        ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
-        if (sc.rejections.enabled) {
-          sc.rejections.add(cx.type, RejectReason::filter);
-        }
-        continue;
-      }
-    }
-    parent_of.set(child, from);
-    if (fm_search(child, type, w, sel, per_instance_demand, parent_of, sc,
-                  try_claim)) {
+    if (walk_candidates(child, type, w, sel, per_instance_demand, parent_of,
+                        sc, visit)) {
       return true;
     }
   }
@@ -433,11 +379,12 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
   if (sc.mode == TraversalMode::first_match) {
     // Claim inline during the discovery walk and unwind once covered —
     // no candidate list, no ranking, no policy call.
-    if (type && fm_search(under, *type, w, sel, f.demand, f.parent_of, sc,
-                          [&](VertexId u) {
-                            attempt(u);
-                            return count == needed_max;
-                          })) {
+    auto claim = [&](VertexId u) {
+      attempt(u);
+      return count == needed_max;
+    };
+    if (type && walk_candidates(under, *type, w, sel, f.demand, f.parent_of,
+                                sc, claim)) {
       ++sc.stats.first_match_stops;
       if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
     }
@@ -445,8 +392,11 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
   }
 
   if (type) {
-    collect_candidates(under, *type, w, sel, f.demand, f.candidates,
-                       f.parent_of, sc);
+    auto collect = [&](VertexId u) {
+      f.candidates.push_back(u);
+      return false;
+    };
+    walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc, collect);
   }
   if (static_cast<std::int64_t>(f.candidates.size()) < needed) return false;
   policy_.plan_selection(g_, f.candidates, needed);
@@ -523,13 +473,14 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
   if (sc.mode == TraversalMode::first_match) {
     if (type) {
       f.demand.add(*type, 1);
-      if (fm_search(under, *type, w, sel, f.demand, f.parent_of, sc,
-                    [&](VertexId u) {
-                      take_units(u);
-                      return remaining == 0;
-                    })) {
+      auto claim = [&](VertexId u) {
+        take_units(u);
+        return remaining == 0;
+      };
+      if (walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc,
+                          claim)) {
         ++sc.stats.first_match_stops;
-        if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
+      if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
       }
     }
     return needed_max - remaining >= needed;
@@ -537,8 +488,11 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
 
   if (type) {
     f.demand.add(*type, 1);
-    collect_candidates(under, *type, w, sel, f.demand, f.candidates,
-                       f.parent_of, sc);
+    auto collect = [&](VertexId u) {
+      f.candidates.push_back(u);
+      return false;
+    };
+    walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc, collect);
   }
   policy_.plan_selection(g_, f.candidates, needed);
 
@@ -1116,7 +1070,7 @@ util::Expected<TimePoint> Traverser::next_candidate_time(
     TimePoint after, Duration duration, const jobspec::Jobspec& js) const {
   // Fast-forward with the root pruning filter when available: the earliest
   // time the *aggregate* demand fits is a lower bound for a full match.
-  // The _ro variant keeps this callable from concurrent probes.
+  // The _ro variant keeps this callable from the const probe path.
   const planner::PlannerMulti* filter = g_.vertex(root_).filter.get();
   if (filter == nullptr) return after;
   std::vector<std::int64_t> counts(filter->resource_count(), 0);
@@ -1145,7 +1099,6 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
   p.op = op;
   p.now = now;
   p.epoch = mutation_epoch_;
-  p.mode = mode;
   sc.mode = mode;
   p.t0 = std::chrono::steady_clock::now();
 
@@ -1257,8 +1210,8 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     if (!p.ok && op != MatchOp::satisfiability &&
         sc.rejections.earliest_hint < 0) {
       // Earliest-feasible hint for a blocked request: the root pruning
-      // filter's aggregate lower bound (read-only, so callable from
-      // concurrent probes). now itself means "aggregate fits but the
+      // filter's aggregate lower bound (read-only, so callable from the
+      // probe path). now itself means "aggregate fits but the
       // shape does not"; the next release time is then the earliest
       // instant anything can change.
       if (auto jumped = next_candidate_time(now, js.duration, js)) {
@@ -1272,9 +1225,6 @@ Traverser::Probe Traverser::probe(const jobspec::Jobspec& js, MatchOp op,
     }
     p.rejections = sc.rejections;
   }
-  p.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            p.t0)
-                  .count();
   return p;
 }
 
@@ -1403,22 +1353,20 @@ void Traverser::fold_stats(const TraverserStats& d) noexcept {
 }
 
 util::Expected<MatchResult> Traverser::commit(Probe&& p) {
-  // Stats fold exactly once per *consumed* probe: wasted speculative
-  // probes are dropped before ever reaching here, so TraverserStats is
-  // identical to a serial run at any thread count.
+  // Stats fold exactly once per committed probe; a probe that is never
+  // committed (a replica query) leaves no trace in TraverserStats.
   if (p.ran) fold_stats(p.delta);
-  // Same contract for attribution: only the consumed probe's profile is
+  // Same contract for attribution: only the committed probe's profile is
   // kept, so explain surfaces describe the decision that actually
-  // happened regardless of speculation.
+  // happened.
   if (p.ran && introspect_) last_rejections_ = std::move(p.rejections);
 
   auto finish = [&](util::Expected<MatchResult> r)
       -> util::Expected<MatchResult> {
     const bool timed = obs::enabled() || obs::trace().enabled();
     if (timed) {
-      // One op-accounting record per consumed probe, spanning probe start
-      // to commit end (for speculative probes that includes the time the
-      // result waited to be consumed).
+      // One op-accounting record per committed probe, spanning probe
+      // start to commit end.
       const std::int64_t dur = std::chrono::duration_cast<
           std::chrono::microseconds>(std::chrono::steady_clock::now() - p.t0)
                                    .count();
@@ -1471,9 +1419,7 @@ util::Expected<MatchResult> Traverser::commit(Probe&& p) {
 util::Expected<MatchResult> Traverser::match(const jobspec::Jobspec& js,
                                              MatchOp op, TimePoint now,
                                              JobId job) {
-  // Serial matching IS the speculative pipeline with a window of one:
-  // probe into the member scratch, then commit. Identical placements at
-  // any thread count follow by construction.
+  // Probe into the member scratch, then commit.
   return commit(probe(js, op, now, job, scratch_, mode_));
 }
 
@@ -1489,8 +1435,7 @@ util::Status Traverser::cancel(JobId job) {
   // Cancel is best-effort once it finds the job: spans may be released
   // even when the call reports corruption (Errc::internal), so those
   // attempts bump the epoch. A not_found attempt touched nothing —
-  // bumping would evict still-valid cached verdicts and parked
-  // speculative probes for no reason.
+  // bumping would evict still-valid cached verdicts for no reason.
   auto r = cancel_impl(job);
   if (r || r.error().code == Errc::internal) ++mutation_epoch_;
   if (timed) {
@@ -1536,7 +1481,7 @@ util::Status Traverser::shrink(JobId job, VertexId vertex) {
   // (not_found / resource_busy); only their best-effort repair paths can
   // leave state moved, and those report Errc::internal. Bump the epoch
   // exactly for success-or-internal so failed attempts stop evicting
-  // still-valid cache entries and parked speculations.
+  // still-valid cache entries.
   auto r = shrink_impl(job, vertex);
   if (r || r.error().code == Errc::internal) ++mutation_epoch_;
   if (audit_enabled_) {

@@ -20,22 +20,18 @@
 // The match *policy* — which of several viable candidates to prefer — is a
 // callback object (paper §3.5); implementations live in policy/.
 //
-// Probe/commit split (speculative parallel matching): a match is two
-// phases. `probe()` is strictly read-only — it walks the frozen graph,
-// builds a Selection into a caller-owned MatchScratch, and captures the
-// mutation epoch it saw; several probes may run concurrently on worker
-// threads as long as NO mutation runs at the same time. `commit()` is
-// serial-only — it validates the probe's epoch, writes planner spans and
-// SDFU filter updates, and folds the probe's stats delta into the
-// traverser. `match()` is exactly probe()+commit() over the traverser's
-// own scratch, so serial and speculative execution produce byte-identical
-// placements by construction. See docs/extending.md, "Concurrency
-// contract".
+// Probe/commit split: a match is two phases. `probe()` is strictly
+// read-only — it walks the frozen graph, builds a Selection into a
+// caller-owned MatchScratch, and captures the mutation epoch it saw.
+// `commit()` validates the probe's epoch, writes planner spans and SDFU
+// filter updates, and folds the probe's stats delta into the traverser.
+// `match()` is exactly probe()+commit() over the traverser's own scratch.
+// Read replicas (snapshot::Replica) run probe() alone on their own
+// engine copy. See docs/extending.md, "Concurrency contract".
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -145,8 +141,8 @@ class Traverser {
   /// committed under `job` until cancel(job). Implemented as
   /// probe() + commit() over the traverser's own scratch. The first
   /// overload uses the traverser's default traversal mode; the second
-  /// selects the mode per call (how the queue lets speculative probes
-  /// inherit its configured mode).
+  /// selects the mode per call (how the queue applies its configured
+  /// mode).
   util::Expected<MatchResult> match(const jobspec::Jobspec& js, MatchOp op,
                                     TimePoint now, JobId job);
   util::Expected<MatchResult> match(const jobspec::Jobspec& js, MatchOp op,
@@ -155,11 +151,9 @@ class Traverser {
 
   /// The read-only half of a match: the outcome of the full time search
   /// and selection walk, captured against the mutation epoch it saw, with
-  /// nothing committed. Consumed exactly once by commit(). Thread-safety:
-  /// any number of probes may run concurrently (each with its own
-  /// MatchScratch), but never concurrently with ANY mutation — commit,
-  /// cancel, grow/shrink/extend, restore, or graph changes. The caller
-  /// (the queue's speculation pipeline) provides that barrier.
+  /// nothing committed. Consumed exactly once by commit(). A probe must
+  /// not overlap any mutation of the same engine — commit, cancel,
+  /// grow/shrink/extend, restore, or graph changes.
   struct Probe {
     JobId job = -1;
     MatchOp op = MatchOp::allocate;
@@ -170,14 +164,12 @@ class Traverser {
     util::TimeWindow window{}; // selected window when ok
     util::Error error{};       // failure when !ok
     TraverserStats delta{};    // this probe's stats contribution
-    double seconds = 0.0;      // wall-clock spent probing
-    std::chrono::steady_clock::time_point t0{};
-    TraversalMode mode = TraversalMode::scored;  // mode the walk used
+    std::chrono::steady_clock::time_point t0{};  // probe start, for op latency
     Selection sel;             // the selection commit() will apply
     /// Match-failure attribution for this probe's walk; populated only
     /// when introspection is enabled (empty + disabled otherwise). Rides
-    /// in the probe so speculative probes carry their own attribution and
-    /// wasted ones leave no trace, exactly like `delta`.
+    /// in the probe so an uncommitted probe leaves no trace, exactly like
+    /// `delta`.
     RejectionProfile rejections;
   };
 
@@ -186,7 +178,7 @@ class Traverser {
   Probe probe(const jobspec::Jobspec& js, MatchOp op, TimePoint now,
               JobId job, MatchScratch& scratch, TraversalMode mode) const;
 
-  /// The serial half: validate the probe against the current epoch, apply
+  /// The mutating half: validate the probe against the current epoch, apply
   /// its selection (planner spans + SDFU filter updates), fold its stats
   /// delta, and run the op accounting/audit hooks. A stale probe (epoch
   /// moved since probe time) fails with resource_busy — callers re-probe.
@@ -242,9 +234,9 @@ class Traverser {
   /// (best-effort repair may have left spans moved), and external graph
   /// changes reported via note_external_mutation(). Cleanly failed
   /// attempts (not_found, resource_busy) touch nothing and do NOT move
-  /// the epoch. Consumers (the queue's satisfiability cache, parked
-  /// speculative probes) compare epochs to decide whether cached match
-  /// failures are still valid.
+  /// the epoch. Consumers (the queue's satisfiability cache, read
+  /// replicas) compare epochs to decide whether cached match failures or
+  /// replica answers are still current.
   std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
 
   /// Report a mutation the traverser cannot see (graph grow/shrink,
@@ -350,8 +342,7 @@ class Traverser {
     std::vector<FilterSpan> filter_spans;
   };
 
-  // --- selection (probe path: const, scratch-backed, thread-safe under
-  // concurrent probes with no concurrent mutation) ---------------------------
+  // --- selection (probe path: const, scratch-backed) --------------------------
   bool select_all(const jobspec::Jobspec& js, const util::TimeWindow& w,
                   Selection& sel, MatchScratch& sc) const;
   bool satisfy(const jobspec::Resource& req, VertexId under,
@@ -369,26 +360,19 @@ class Traverser {
                      const util::TimeWindow& w, Selection& sel,
                      std::size_t depth, MatchScratch& sc) const;
 
-  /// Vertices of `type` reachable from `from` (inclusive) by descending
-  /// shareable, unpruned containment edges; records the pass-through
-  /// chain so shared marks can be applied on selection.
-  void collect_candidates(VertexId from, util::InternId type,
-                          const util::TimeWindow& w, const Selection& sel,
-                          const DenseDemand& per_instance_demand,
-                          std::vector<VertexId>& out, ParentMap& parent_of,
-                          MatchScratch& sc) const;
-
-  /// First-match walk: the same DFS as collect_candidates (same visit
-  /// accounting, status pruning, pass-through shareability and filter
-  /// checks, parent recording), but each discovered candidate is handed
-  /// to `try_claim` immediately and the walk unwinds — returning true —
-  /// as soon as try_claim reports the request covered. The policy scorer
-  /// is never called on this path.
-  bool fm_search(VertexId from, util::InternId type,
-                 const util::TimeWindow& w, const Selection& sel,
-                 const DenseDemand& per_instance_demand, ParentMap& parent_of,
-                 MatchScratch& sc,
-                 const std::function<bool(VertexId)>& try_claim) const;
+  /// The candidate walk shared by both traversal modes: a DFS from `from`
+  /// (inclusive) over shareable, unpruned containment edges that records
+  /// the pass-through chain in `parent_of` (so shared marks can be applied
+  /// on selection) and hands each vertex of `type` to `visit`. The walk
+  /// unwinds — returning true — as soon as `visit` returns true. The
+  /// scored mode collects every candidate (visit never stops); first-match
+  /// claims inline and stops once the request is covered.
+  template <class Visit>
+  bool walk_candidates(VertexId from, util::InternId type,
+                       const util::TimeWindow& w, const Selection& sel,
+                       const DenseDemand& per_instance_demand,
+                       ParentMap& parent_of, MatchScratch& sc,
+                       Visit& visit) const;
 
   /// Why `v` cannot be walked/used shared (RejectReason::none = it can).
   /// vertex_shareable() is the boolean view of the same checks.
@@ -437,7 +421,7 @@ class Traverser {
   /// failed removal, then reports it as Errc::internal).
   util::Status release_record(JobRecord& rec);
   /// Earliest aggregate-feasible start per the root pruning filter (read
-  /// path: safe under concurrent probes).
+  /// path: touches no planner state).
   util::Expected<TimePoint> next_candidate_time(TimePoint after,
                                                 Duration duration,
                                                 const jobspec::Jobspec& js)
@@ -472,7 +456,7 @@ class Traverser {
   std::unordered_map<JobId, JobRecord> jobs_;
   std::map<TimePoint, int> release_times_;
   TraverserStats stats_;
-  MatchScratch scratch_;  // serial path (match/grow) scratch
+  MatchScratch scratch_;  // match()/grow scratch
   TraversalMode mode_ = TraversalMode::scored;
   std::uint64_t mutation_epoch_ = 0;
   bool audit_enabled_ = false;

@@ -65,8 +65,17 @@ class JsonParser {
     }
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNesting) {
+          fail("nesting deeper than " + std::to_string(kMaxNesting));
+          return Node{};
+        }
+        ++depth_;
+        Node n = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return n;
+      }
       case '"': return Node::make_scalar(parse_string());
       case 't':
         if (literal("true")) return Node::make_scalar("true");
@@ -227,6 +236,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open objects/arrays
   bool failed_ = false;
   util::Error error_;
 };

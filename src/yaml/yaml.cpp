@@ -155,6 +155,25 @@ class Parser {
                          "yaml:" + std::to_string(lineno) + ": " + msg};
   }
 
+  /// One level of container nesting (block or flow) for the lifetime of
+  /// the guard; past kMaxNesting the parse fails instead of recursing on.
+  class Nest {
+   public:
+    Nest(Parser& p, int lineno) : p_(p) {
+      if (++p_.depth_ > kMaxNesting) {
+        p_.fail(lineno,
+                "nesting deeper than " + std::to_string(kMaxNesting));
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    bool ok() const { return p_.depth_ <= kMaxNesting; }
+
+   private:
+    Parser& p_;
+  };
+
   static bool is_dash_item(std::string_view t) {
     return t == "-" || util::starts_with(t, "- ");
   }
@@ -223,6 +242,8 @@ class Parser {
   }
 
   Node parse_sequence(std::size_t indent) {
+    const Nest nest(*this, cur().lineno);
+    if (!nest.ok()) return Node{};
     std::vector<Node> items;
     while (!done() && cur().indent == indent && is_dash_item(cur().text)) {
       const Line line = cur();
@@ -254,6 +275,8 @@ class Parser {
   }
 
   Node parse_mapping(std::size_t indent) {
+    const Nest nest(*this, cur().lineno);
+    if (!nest.ok()) return Node{};
     std::vector<MapEntry> entries;
     while (!done() && cur().indent == indent &&
            !is_dash_item(cur().text)) {
@@ -310,6 +333,8 @@ class Parser {
     if (pos >= text.size()) return Node{};
     const char c = text[pos];
     if (c == '[') {
+      const Nest nest(*this, lineno);
+      if (!nest.ok()) return Node{};
       ++pos;
       std::vector<Node> items;
       while (true) {
@@ -338,6 +363,8 @@ class Parser {
       return Node::make_sequence(std::move(items));
     }
     if (c == '{') {
+      const Nest nest(*this, lineno);
+      if (!nest.ok()) return Node{};
       ++pos;
       std::vector<MapEntry> entries;
       while (true) {
@@ -403,6 +430,7 @@ class Parser {
 
   std::vector<Line> lines_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open block and flow containers
   bool failed_ = false;
   util::Error error_;
 };

@@ -72,6 +72,11 @@ class Node {
   std::vector<MapEntry> entries_;
 };
 
+/// Deepest container nesting parse() and parse_json() accept (block and
+/// flow levels count alike). Deeper input is rejected with a parse error
+/// instead of exhausting the stack of the recursive-descent parsers.
+inline constexpr std::size_t kMaxNesting = 512;
+
 /// Parse one YAML document. Errors carry 1-based line numbers.
 util::Expected<Node> parse(std::string_view text);
 

@@ -112,6 +112,72 @@ TEST(ParserRobustness, JsonNeverCrashes) {
   }
 }
 
+// Nesting-limit seeds: exactly yaml::kMaxNesting levels parse, one more
+// is a clean parse error, and far deeper input (which used to overflow
+// the stack) is rejected the same way. Mutations around the limit must
+// never crash either.
+std::string nested(std::size_t depth, char open, char close,
+                   std::string_view inner = "") {
+  return std::string(depth, open) + std::string(inner) +
+         std::string(depth, close);
+}
+
+TEST(ParserRobustness, JsonNestingLimit) {
+  const std::size_t limit = yaml::kMaxNesting;
+  EXPECT_TRUE(yaml::parse_json(nested(limit, '[', ']')));
+  const auto over = yaml::parse_json(nested(limit + 1, '[', ']'));
+  ASSERT_FALSE(over);
+  EXPECT_NE(over.error().message.find("nesting"), std::string::npos)
+      << over.error().message;
+  // Objects count the same as arrays.
+  std::string objects;
+  for (std::size_t i = 0; i < limit + 1; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(limit + 1, '}');
+  EXPECT_FALSE(yaml::parse_json(objects));
+  EXPECT_FALSE(yaml::parse_json(std::string(50000, '[')));
+  EXPECT_FALSE(writers::read_jgf(std::string(50000, '['), 0, 1000));
+
+  util::Rng rng(12);
+  const std::string seeds[] = {nested(limit, '[', ']'),
+                               nested(limit + 1, '[', ']')};
+  for (int i = 0; i < 200; ++i) {
+    (void)yaml::parse_json(mutate(seeds[rng.index(2)], rng));
+  }
+}
+
+TEST(ParserRobustness, YamlNestingLimit) {
+  const std::size_t limit = yaml::kMaxNesting;
+  // Flow nesting on a lone line.
+  EXPECT_TRUE(yaml::parse(nested(limit, '[', ']')));
+  EXPECT_FALSE(yaml::parse(nested(limit + 1, '[', ']')));
+  EXPECT_FALSE(yaml::parse(nested(50000, '{', '}', "a: 1")));
+  // Block nesting: a chain of mappings, one indentation step per level,
+  // ending in `leaf`.
+  auto block = [](std::size_t depth, std::string_view leaf) {
+    std::string out;
+    for (std::size_t i = 0; i < depth; ++i) {
+      out += std::string(i, ' ') + "k:";
+      out += i + 1 == depth ? " " + std::string(leaf) + "\n" : "\n";
+    }
+    return out;
+  };
+  EXPECT_TRUE(yaml::parse(block(limit, "v")));
+  const auto over = yaml::parse(block(limit + 1, "v"));
+  ASSERT_FALSE(over);
+  EXPECT_NE(over.error().message.find("nesting"), std::string::npos)
+      << over.error().message;
+  // Block and flow levels share one budget.
+  EXPECT_TRUE(yaml::parse(block(limit - 1, "[]")));
+  EXPECT_FALSE(yaml::parse(block(limit - 1, "[[]]")));
+
+  util::Rng rng(13);
+  const std::string seeds[] = {block(limit, "v"), block(limit + 1, "v"),
+                               nested(limit, '[', ']')};
+  for (int i = 0; i < 200; ++i) {
+    (void)yaml::parse(mutate(seeds[rng.index(3)], rng));
+  }
+}
+
 TEST(ParserRobustness, TraceNeverCrashes) {
   const std::string seed = "# t\n4 100\n1 50\n256 43200\n";
   util::Rng rng(5);

@@ -220,5 +220,34 @@ TEST(ResourceGraph, UniqIdsAreSequential) {
   EXPECT_EQ(g.vertex(a).uniq_id + 1, g.vertex(b).uniq_id);
 }
 
+TEST(ResourceGraph, SelfContainmentRejected) {
+  ResourceGraph g(0, 100);
+  const VertexId a = g.add_vertex("cluster", "cluster", 0, 1);
+  const auto st = g.add_containment(a, a);
+  ASSERT_FALSE(st);
+  EXPECT_EQ(st.error().code, Errc::invalid_argument);
+  // Rejected before any edge was added.
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.vertex(a).containment_parent, kInvalidVertex);
+  EXPECT_EQ(g.vertex(a).path, "/cluster0");
+  EXPECT_TRUE(g.validate());
+}
+
+TEST(ResourceGraph, ContainmentTwoCycleRejected) {
+  ResourceGraph g(0, 100);
+  const VertexId a = g.add_vertex("rack", "rack", 0, 1);
+  const VertexId b = g.add_vertex("node", "node", 0, 1);
+  ASSERT_TRUE(g.add_containment(a, b));
+  const std::size_t edges = g.edge_count();
+  // b already sits inside a's subtree: a under b would close a loop.
+  const auto st = g.add_containment(b, a);
+  ASSERT_FALSE(st);
+  EXPECT_EQ(st.error().code, Errc::invalid_argument);
+  EXPECT_EQ(g.edge_count(), edges);
+  EXPECT_EQ(g.vertex(a).containment_parent, kInvalidVertex);
+  EXPECT_EQ(g.vertex(b).path, "/rack0/node0");
+  EXPECT_TRUE(g.validate());
+}
+
 }  // namespace
 }  // namespace fluxion::graph

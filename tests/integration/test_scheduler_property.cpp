@@ -46,6 +46,13 @@ struct Params {
   int steps;
 };
 
+// The default printer dumps the raw bytes, which include the policy
+// string's load address and struct padding; test names built from it
+// changed from one process to the next.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " policy=" << p.policy << " steps=" << p.steps;
+}
+
 class SchedulerStorm : public ::testing::TestWithParam<Params> {
  protected:
   SchedulerStorm() : g(0, 1 << 22) {

@@ -82,7 +82,7 @@ TEST_F(PrometheusFixture, HistogramBucketsAreCumulativeAndClosed) {
 
 TEST_F(PrometheusFixture, LabelledFamiliesShareOneTypeHeader) {
   monitor().op(Op::allocate).calls.inc(5);
-  monitor().ensure_probe_threads(2);
+  monitor().op(Op::cancel).latency_us.add(12.0);
   const std::string text = monitor().prometheus();
   std::size_t type_headers = 0;
   bool saw_allocate = false, saw_cancel = false;
@@ -96,11 +96,17 @@ TEST_F(PrometheusFixture, LabelledFamiliesShareOneTypeHeader) {
   EXPECT_EQ(type_headers, 1u);
   EXPECT_TRUE(saw_allocate);
   EXPECT_TRUE(saw_cancel);
-  // Per-thread probe latency series carry a thread label.
-  EXPECT_NE(text.find("fluxion_probe_latency_us_bucket{thread=\"0\","),
+  // Per-op latency histograms carry an op label, one series per op
+  // under a single TYPE header.
+  EXPECT_NE(text.find("fluxion_op_latency_us_bucket{op=\"allocate\","),
             std::string::npos);
-  EXPECT_NE(text.find("fluxion_probe_latency_us_bucket{thread=\"1\","),
+  EXPECT_NE(text.find("fluxion_op_latency_us_bucket{op=\"cancel\","),
             std::string::npos);
+  std::size_t hist_headers = 0;
+  for (const std::string& line : lines_of(text)) {
+    if (line == "# TYPE fluxion_op_latency_us histogram") ++hist_headers;
+  }
+  EXPECT_EQ(hist_headers, 1u);
 }
 
 TEST_F(PrometheusFixture, EveryLineIsTypeCommentOrSample) {

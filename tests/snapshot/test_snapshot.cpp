@@ -1,18 +1,25 @@
 // Snapshot subsystem unit tests: codec primitives, corrupt-input
-// rejection, engine round-trips, replica/writer agreement, and the
-// mutation-epoch regression (failed cancel/shrink/extend must not
-// invalidate caches). The end-to-end replay differential lives in
+// rejection, engine round-trips, replica/writer agreement, concurrent
+// replicas, loading an older format version, and the mutation-epoch
+// regression (failed cancel/shrink/extend must not invalidate caches).
+// The end-to-end replay differential lives in
 // tests/integration/test_snapshot_differential.cpp.
 #include "snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 
+#include "core/resource_query.hpp"
 #include "grug/grug.hpp"
+#include "obs/metrics.hpp"
 #include "policy/policies.hpp"
 #include "queue/job_queue.hpp"
+#include "sim/replay.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/replica.hpp"
 
@@ -300,7 +307,6 @@ TEST_F(SnapshotFixture, FailedMutationsDoNotInvalidateMatchCache) {
   q.submit(whole_nodes(4, 100));
   q.schedule();
   const std::uint64_t inval0 = q.stats().cache_invalidations;
-  const std::uint64_t wasted0 = q.stats().spec_wasted;
 
   // A failed direct mutation between passes must not drop the queue's
   // match cache (the regression: unconditional epoch bumps made every
@@ -309,7 +315,116 @@ TEST_F(SnapshotFixture, FailedMutationsDoNotInvalidateMatchCache) {
   EXPECT_FALSE(trav->extend(424242, 5));
   q.schedule();
   EXPECT_EQ(q.stats().cache_invalidations, inval0);
-  EXPECT_EQ(q.stats().spec_wasted, wasted0);
+}
+
+// --- concurrent replicas ---------------------------------------------------
+
+// The engine is single-threaded; concurrency comes from one Replica per
+// thread. Two threads each open, query and refresh their own replica of
+// the same bytes with metrics on, so the only state they share is the obs
+// catalogue — which is what ThreadSanitizer watches here.
+class ReplicaConcurrency : public SnapshotFixture {};
+
+TEST_F(ReplicaConcurrency, TwoThreadsTwoReplicas) {
+  for (int j = 1; j <= 2; ++j) {
+    ASSERT_TRUE(trav->match(whole_nodes(1, 100),
+                            traverser::MatchOp::allocate, 0, j));
+  }
+  const std::string bytes = save_engine(g, *trav, nullptr);
+  obs::set_enabled(true);
+  obs::monitor().reset();
+  constexpr int kRounds = 20;
+  int ok[2] = {0, 0};
+  auto serve = [&](int slot) {
+    for (int i = 0; i < kRounds; ++i) {
+      auto rep = Replica::open(bytes);
+      if (!rep) return;
+      auto t = (*rep)->earliest_start(whole_nodes(3, 10), 0);
+      if ((*rep)->satisfiable(whole_nodes(4, 10)) && t && *t == 100 &&
+          (*rep)->refresh(bytes)) {
+        ++ok[slot];
+      }
+    }
+  };
+  std::thread a(serve, 0);
+  std::thread b(serve, 1);
+  a.join();
+  b.join();
+  const std::uint64_t loads = obs::monitor().snap_loads.value();
+  const std::uint64_t timed = obs::monitor().snap_load_us.count();
+  obs::set_enabled(false);
+  EXPECT_EQ(ok[0], kRounds);
+  EXPECT_EQ(ok[1], kRounds);
+  // Every open and refresh loads an engine; none of the samples is lost.
+  EXPECT_EQ(loads, 4u * kRounds);
+  EXPECT_EQ(timed, 4u * kRounds);
+}
+
+// --- format migration -----------------------------------------------------
+
+// data/v1_queue.flxs is a version-1 image written by the format-1 writer:
+//   fluxion-sim --grug SYS --trace TRACE --cores 4 --queue easy
+//     --eventlog FILE --snapshot-out v1_queue.flxs --snapshot-at 150
+// over the system and trace below, with the since-removed parallel match
+// pipeline on so the four queue counters that v2 dropped were non-zero.
+// The v2 reader must load it, and the restored engine must finish the
+// trace exactly as a straight replay does.
+constexpr const char* kV1System =
+    "filters node core\nfilter-at cluster\ncluster count=1\n"
+    "  node count=4\n    core count=4\n";
+const std::vector<sim::TraceJob> kV1Trace = {
+    {2, 100, 0},  {4, 50, 0},   {1, 80, 10},  {3, 60, 20},
+    {2, 40, 120}, {1, 30, 160}, {4, 20, 200}, {5, 10, 210},
+};
+
+std::string read_v1_snapshot() {
+  std::ifstream in(FLUXION_SNAPSHOT_DATA_DIR "/v1_queue.flxs",
+                   std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(SnapshotMigration, V1QueueSnapshotLoadsAndResumes) {
+  const std::string bytes = read_v1_snapshot();
+  ASSERT_GT(bytes.size(), 5u);
+  ASSERT_EQ(bytes[4], 1) << "fixture must stay a version-1 image";
+  auto eng = EngineSnapshot::load(bytes);
+  ASSERT_TRUE(eng) << eng.error().message;
+  queue::JobQueue& q = *(*eng)->queue;
+  EXPECT_EQ((*eng)->policy_name, "low-id");
+  EXPECT_EQ(q.policy(), queue::QueuePolicy::easy_backfill);
+  EXPECT_EQ(q.now(), 120);  // the last arrival batch before t=150
+  EXPECT_EQ(q.stats().submitted, 5u);
+  EXPECT_FALSE(q.eventlog().events().empty());
+
+  // Straight replay of the same workload under the current code.
+  auto rq = core::ResourceQuery::create_from_text(kV1System, {});
+  ASSERT_TRUE(rq) << rq.error().message;
+  queue::JobQueue straight((*rq)->traverser(),
+                           queue::QueuePolicy::easy_backfill);
+  straight.set_eventlog(true);
+  const auto r_straight = sim::replay_trace(straight, kV1Trace, 4);
+  ASSERT_TRUE(r_straight) << r_straight.error().message;
+
+  const auto r_resume = sim::resume_trace(q, kV1Trace, 4);
+  ASSERT_TRUE(r_resume) << r_resume.error().message;
+  ASSERT_EQ(r_resume->ids, r_straight->ids);
+  EXPECT_EQ(r_resume->end_time, r_straight->end_time);
+  EXPECT_EQ(q.eventlog().jsonl(), straight.eventlog().jsonl());
+  // The schedule the format-1 writer produced for this trace.
+  const util::TimePoint starts[] = {0, 100, 10, 150, 210, 160, 250};
+  for (std::size_t i = 0; i < 7; ++i) {
+    const queue::Job* job = q.find(r_resume->ids[i]);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->state, queue::JobState::completed) << "job " << i;
+    EXPECT_EQ(job->start_time, starts[i]) << "job " << i;
+  }
+  EXPECT_EQ(q.find(r_resume->ids[7])->state, queue::JobState::rejected);
+
+  // Saving again writes the current version.
+  const std::string v2 = EngineSnapshot::save(*(*eng)->graph,
+                                              *(*eng)->traverser, &q);
+  EXPECT_EQ(v2[4], static_cast<char>(kSnapshotVersion));
+  EXPECT_TRUE(EngineSnapshot::load(v2));
 }
 
 }  // namespace
