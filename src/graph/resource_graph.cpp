@@ -111,6 +111,25 @@ void repath(ResourceGraph& g, VertexId root,
     stack.insert(stack.end(), children.rbegin(), children.rend());
   }
 }
+
+/// Levels in v's containment subtree (v alone is 1). Iterative, like
+/// repath.
+std::size_t subtree_height(const ResourceGraph& g, VertexId v) {
+  std::size_t height = 0;
+  std::vector<std::pair<VertexId, std::size_t>> stack{{v, 1}};
+  while (!stack.empty()) {
+    const auto [u, level] = stack.back();
+    stack.pop_back();
+    height = std::max(height, level);
+    for (const Edge& e : g.out_edges(u)) {
+      if (e.subsystem == g.containment() && e.relation == g.contains_rel() &&
+          g.vertex(e.dst).alive) {
+        stack.emplace_back(e.dst, level + 1);
+      }
+    }
+  }
+  return height;
+}
 }  // namespace
 
 util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
@@ -121,7 +140,9 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
     return util::Error{Errc::exists, "add_containment: child already placed"};
   }
   // The containment tree must stay a tree: refuse a self-edge and any
-  // parent that already sits inside child's subtree.
+  // parent that already sits inside child's subtree. Edges may arrive
+  // bottom-up (JGF), so the depth bound counts the child's own subtree.
+  std::size_t depth = 0;
   for (VertexId a = parent; a != kInvalidVertex;
        a = vertices_[a].containment_parent) {
     if (a == child) {
@@ -129,6 +150,14 @@ util::Status ResourceGraph::add_containment(VertexId parent, VertexId child) {
                          "add_containment: edge would create a containment "
                          "cycle"};
     }
+    ++depth;
+  }
+  if (depth + subtree_height(*this, child) > kMaxContainmentDepth) {
+    return util::Error{Errc::invalid_argument,
+                       "add_containment: placing " + vertices_[child].name +
+                           " under " + vertices_[parent].path +
+                           " makes the containment tree deeper than " +
+                           std::to_string(kMaxContainmentDepth) + " levels"};
   }
   if (auto st = add_edge(parent, child, containment_, contains_); !st) {
     return st;

@@ -46,6 +46,12 @@ using util::TimePoint;
 using VertexId = std::uint32_t;
 inline constexpr VertexId kInvalidVertex = UINT32_MAX;
 
+/// Deepest containment tree the graph accepts, in levels (root = 1).
+/// Every vertex stores its full path, so a chain of depth d costs O(d^2)
+/// bytes, and the matcher's walks recurse once per level; no real system
+/// comes near this bound.
+inline constexpr std::size_t kMaxContainmentDepth = 256;
+
 /// Shared-use counter capacity: effectively unbounded concurrency for
 /// shared walks, while still window-trackable in a Planner.
 inline constexpr std::int64_t kSharedUseMax = 1 << 30;
@@ -141,7 +147,9 @@ class ResourceGraph {
                         InternId relation);
 
   /// Containment convenience: parent -contains-> child, child -in-> parent,
-  /// sets the child's containment path and parent pointer.
+  /// sets the child's containment path and parent pointer. Rejects an edge
+  /// that would form a cycle or make the tree deeper than
+  /// kMaxContainmentDepth, before adding anything.
   util::Status add_containment(VertexId parent, VertexId child);
 
   /// Install a pruning filter at `v` tracking the subtree totals of

@@ -4,8 +4,6 @@
 
 namespace fluxion::obs {
 
-namespace {
-
 void append_escaped(std::string& out, const std::string& s) {
   for (char c : s) {
     switch (c) {
@@ -32,8 +30,6 @@ void append_escaped(std::string& out, const std::string& s) {
     }
   }
 }
-
-}  // namespace
 
 std::string event_str(const std::string& s) {
   std::string out = "\"";

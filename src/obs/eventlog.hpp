@@ -61,6 +61,10 @@ class EventLog {
   std::vector<JobEvent> events_;
 };
 
+/// Append `s` to `out` escaped as the body of a JSON string — the one
+/// escaper behind the eventlog and trace encoders.
+void append_escaped(std::string& out, const std::string& s);
+
 /// Convenience: quote + escape a string for use as a JobEvent arg value.
 std::string event_str(const std::string& s);
 

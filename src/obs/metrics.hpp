@@ -95,7 +95,9 @@ struct OpMetrics {
 /// The metric catalogue (see docs/observability.md). Grouped by layer.
 struct PerfMonitor {
   // --- traverser ----------------------------------------------------------
-  Counter trav_visits;            // vertices entered by collect_candidates
+  // All but trav_rollbacks are folded from committed probes' TraverserStats
+  // deltas (Traverser::fold_stats); uncommitted replica probes add nothing.
+  Counter trav_visits;            // vertices entered by walk_candidates
   Counter trav_pruned;            // subtrees skipped by pruning filters
   Counter trav_postorder_rejects; // candidates dropped after descending
   Counter trav_rollbacks;         // selection rollbacks (any cause)

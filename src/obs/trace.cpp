@@ -2,7 +2,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/eventlog.hpp"
 
 namespace fluxion::obs {
 
@@ -10,33 +11,6 @@ namespace {
 
 std::int64_t sim_to_us(double sim_seconds) {
   return static_cast<std::int64_t>(std::llround(sim_seconds * 1e6));
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void append_event(std::string& out, const TraceEvent& ev) {
@@ -69,12 +43,7 @@ void append_event(std::string& out, const TraceEvent& ev) {
 
 }  // namespace
 
-std::string trace_str(const std::string& s) {
-  std::string out = "\"";
-  append_escaped(out, s);
-  out += "\"";
-  return out;
-}
+std::string trace_str(const std::string& s) { return event_str(s); }
 
 void TraceLog::set_enabled(bool on) {
   enabled_ = on;

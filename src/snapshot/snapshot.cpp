@@ -180,15 +180,12 @@ std::string EngineSnapshot::save(const graph::ResourceGraph& g,
       w.iv(cc.window.start);
       w.iv(cc.window.duration);
     }
-    // Shared walks carry no window in the record; recover it from the
-    // live span (span ids are regenerated on load, windows are what
-    // matters).
+    // Span ids are regenerated on load; windows are what matters.
     w.uv(rec.shared_spans.size());
-    for (const auto& [vx, span] : rec.shared_spans) {
-      const planner::Span* sp = g.vertices_[vx].x_checker->find_span(span);
-      w.uv(vx);
-      w.iv(sp != nullptr ? sp->start : 0);
-      w.iv(sp != nullptr ? sp->last - sp->start : 0);
+    for (const auto& ss : rec.shared_spans) {
+      w.uv(ss.vertex);
+      w.iv(ss.window.start);
+      w.iv(ss.window.duration);
     }
     w.uv(rec.filter_spans.size());
     for (const auto& fs : rec.filter_spans) {
@@ -449,6 +446,8 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
     if (!read_resources(r, nverts, rec.result.resources)) {
       return corrupt("job resources");
     }
+    // Read the record's three span families, then re-commit them through
+    // the traverser's own transactional add.
     const std::uint64_t nclaims = r.uv();
     if (r.failed() || nclaims > bytes.size()) return corrupt("claims");
     rec.claims.reserve(nclaims);
@@ -463,31 +462,18 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       wdw.start = r.iv();
       wdw.duration = r.iv();
       if (r.failed() || claim.vertex >= nverts) return corrupt("claim");
-      auto span = g.vertices_[claim.vertex].schedule->add_span(
-          wdw.start, wdw.duration, claim.units);
-      if (!span) {
-        return util::Error{Errc::internal,
-                           "snapshot: claim replay failed on vertex " +
-                               g.vertices_[claim.vertex].path + ": " +
-                               span.error().message};
-      }
-      rec.claims.push_back({claim, wdw, *span});
+      rec.claims.push_back({claim, wdw});
     }
     const std::uint64_t nshared = r.uv();
     if (r.failed() || nshared > bytes.size()) return corrupt("shared spans");
     rec.shared_spans.reserve(nshared);
     for (std::uint64_t s = 0; s < nshared; ++s) {
       const auto vx = static_cast<graph::VertexId>(r.uv());
-      const util::TimePoint start = r.iv();
-      const util::Duration dur = r.iv();
+      util::TimeWindow wdw;
+      wdw.start = r.iv();
+      wdw.duration = r.iv();
       if (r.failed() || vx >= nverts) return corrupt("shared span");
-      auto span = g.vertices_[vx].x_checker->add_span(start, dur, 1);
-      if (!span) {
-        return util::Error{Errc::internal,
-                           "snapshot: shared-span replay failed: " +
-                               span.error().message};
-      }
-      rec.shared_spans.emplace_back(vx, *span);
+      rec.shared_spans.push_back({vx, wdw});
     }
     const std::uint64_t nfspans = r.uv();
     if (r.failed() || nfspans > bytes.size()) return corrupt("filter spans");
@@ -505,14 +491,13 @@ util::Expected<std::unique_ptr<RestoredEngine>> EngineSnapshot::load(
       std::vector<std::int64_t> counts(ncounts);
       for (std::uint64_t k = 0; k < ncounts; ++k) counts[k] = r.iv();
       if (r.failed()) return corrupt("filter span");
-      auto span = g.vertices_[vx].filter->add_span(wdw.start, wdw.duration,
-                                                   counts);
-      if (!span) {
-        return util::Error{Errc::internal,
-                           "snapshot: filter-span replay failed: " +
-                               span.error().message};
-      }
-      rec.filter_spans.push_back({vx, *span, wdw, std::move(counts)});
+      rec.filter_spans.push_back({vx, wdw, std::move(counts)});
+    }
+    if (auto st = t.add_spans(rec, traverser::Traverser::span_count(rec));
+        !st) {
+      return util::Error{Errc::internal,
+                         "snapshot: job " + std::to_string(id) +
+                             " replay failed: " + st.error().message};
     }
     t.jobs_.emplace(id, std::move(rec));
     if (id >= eng->next_job_id) eng->next_job_id = id + 1;

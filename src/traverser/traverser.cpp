@@ -1,6 +1,8 @@
 #include "traverser/traverser.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
@@ -42,6 +44,27 @@ bool meets_requirements(const graph::Vertex& v,
     }
   }
   return true;
+}
+
+/// Append `from` to `to`, moving the whole vector when `to` is empty (a
+/// fresh record takes its fragment without copying).
+template <class T>
+void append(std::vector<T>& to, std::vector<T>& from) {
+  if (to.empty()) {
+    to = std::move(from);
+  } else {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  }
+}
+
+/// SDFU accounting for one committed filter update of `spans` spans.
+void count_sdfu(std::size_t spans) {
+  if (!obs::enabled()) return;
+  auto& m = obs::monitor();
+  m.sdfu_commits.inc();
+  m.sdfu_spans.inc(spans);
+  m.sdfu_spans_per_commit.add(static_cast<double>(spans));
 }
 }  // namespace
 
@@ -152,14 +175,12 @@ bool Traverser::walk_candidates(VertexId from, util::InternId type,
                                 Visit& visit) const {
   ++sc.stats.visits;
   ++sc.stats.last_visits;
-  if (obs::enabled()) obs::monitor().trav_visits.inc();
   const graph::Vertex& vx = g_.vertex(from);
   // Preorder status pruning (dynamic-resource layer): a non-up vertex is
   // never matched and never descended into, so a downed or drained
   // subtree costs one visit, not a walk.
   if (vx.status != graph::ResourceStatus::up) {
     ++sc.stats.status_pruned;
-    if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
     if (sc.rejections.enabled) sc.rejections.add(vx.type, RejectReason::status);
     return false;
   }
@@ -187,14 +208,12 @@ bool Traverser::walk_candidates(VertexId from, util::InternId type,
           // A non-up pass-through child is a subtree skipped as non-up,
           // same as the preorder check above would have found.
           ++sc.stats.status_pruned;
-          if (obs::enabled()) obs::monitor().trav_status_pruned.inc();
         }
         if (sc.rejections.enabled) sc.rejections.add(cx.type, why);
         continue;
       }
       if (!filter_admits(child, w, per_instance_demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(cx.type, RejectReason::filter);
         }
@@ -324,7 +343,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
       }
       if (!filter_admits(u, w, f.demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(ux.type, RejectReason::filter);
         }
@@ -340,7 +358,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
       }
       if (!filter_admits(u, w, f.demand)) {
         ++sc.stats.pruned;
-        if (obs::enabled()) obs::monitor().trav_pruned.inc();
         if (sc.rejections.enabled) {
           sc.rejections.add(ux.type, RejectReason::filter);
         }
@@ -360,7 +377,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
     }
     if (!ok) {
       ++sc.stats.postorder_rejects;
-      if (obs::enabled()) obs::monitor().trav_postorder_rejects.inc();
       if (sc.rejections.enabled) {
         sc.rejections.add(ux.type, RejectReason::postorder);
       }
@@ -386,7 +402,6 @@ bool Traverser::satisfy_instances(const jobspec::Resource& req,
     if (type && walk_candidates(under, *type, w, sel, f.demand, f.parent_of,
                                 sc, claim)) {
       ++sc.stats.first_match_stops;
-      if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
     }
     return count >= needed;
   }
@@ -480,7 +495,6 @@ bool Traverser::satisfy_units(const jobspec::Resource& req, VertexId under,
       if (walk_candidates(under, *type, w, sel, f.demand, f.parent_of, sc,
                           claim)) {
         ++sc.stats.first_match_stops;
-      if (obs::enabled()) obs::monitor().trav_first_match_stops.inc();
       }
     }
     return needed_max - remaining >= needed;
@@ -509,7 +523,6 @@ bool Traverser::select_all(const jobspec::Jobspec& js,
                            const util::TimeWindow& w, Selection& sel,
                            MatchScratch& sc) const {
   ++sc.stats.match_attempts;
-  if (obs::enabled()) obs::monitor().trav_match_attempts.inc();
   for (const jobspec::Resource& r : js.resources) {
     if (!satisfy(r, root_, r.count, /*under_slot=*/false,
                  /*under_excl=*/false, w, sel, 0, sc)) {
@@ -519,122 +532,183 @@ bool Traverser::select_all(const jobspec::Jobspec& js,
   return true;
 }
 
+util::Status Traverser::rem_span_at(JobRecord& rec, std::size_t k) {
+  auto named = [&](util::Status st, const char* what, VertexId v) {
+    if (st) return st;
+    return util::Status(util::Error{
+        st.error().code, std::string(what) + " span on " + g_.vertex(v).path +
+                             ": " + st.error().message});
+  };
+  if (k < rec.claims.size()) {
+    const CommittedClaim& cc = rec.claims[k];
+    return named(g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span),
+                 "schedule", cc.claim.vertex);
+  }
+  k -= rec.claims.size();
+  if (k < rec.shared_spans.size()) {
+    const SharedSpan& ss = rec.shared_spans[k];
+    return named(g_.vertex(ss.vertex).x_checker->rem_span(ss.span),
+                 "shared-use", ss.vertex);
+  }
+  const FilterSpan& fs = rec.filter_spans[k - rec.shared_spans.size()];
+  return named(g_.vertex(fs.vertex).filter->rem_span(fs.span),
+               "pruning filter", fs.vertex);
+}
+
+util::Status Traverser::add_spans(JobRecord& rec, std::size_t n) {
+  const std::size_t nclaims = rec.claims.size();
+  const std::size_t nshared = rec.shared_spans.size();
+  auto injected = [](const char* point) -> util::Expected<planner::SpanId> {
+    return util::Error{Errc::resource_busy,
+                       std::string("injected fault at ") + point};
+  };
+  for (std::size_t k = 0; k < n; ++k) {
+    util::Expected<planner::SpanId> span = planner::kInvalidSpan;
+    planner::SpanId* slot = nullptr;
+    VertexId v = graph::kInvalidVertex;
+    if (k < nclaims) {
+      CommittedClaim& cc = rec.claims[k];
+      v = cc.claim.vertex;
+      slot = &cc.span;
+      span = fault_fires("apply:claim")
+                 ? injected("apply:claim")
+                 : g_.vertex(v).schedule->add_span(
+                       cc.window.start, cc.window.duration, cc.claim.units);
+    } else if (k < nclaims + nshared) {
+      SharedSpan& ss = rec.shared_spans[k - nclaims];
+      v = ss.vertex;
+      slot = &ss.span;
+      span = fault_fires("apply:shared")
+                 ? injected("apply:shared")
+                 : g_.vertex(v).x_checker->add_span(ss.window.start,
+                                                    ss.window.duration, 1);
+    } else {
+      FilterSpan& fs = rec.filter_spans[k - nclaims - nshared];
+      v = fs.vertex;
+      slot = &fs.span;
+      span = fault_fires("apply:filter")
+                 ? injected("apply:filter")
+                 : g_.vertex(v).filter->add_span(fs.window.start,
+                                                 fs.window.duration, fs.counts);
+    }
+    if (!span) {
+      bool undone = true;
+      for (std::size_t j = 0; j < k; ++j) {
+        undone &= static_cast<bool>(rem_span_at(rec, j));
+      }
+      return util::internal_error(
+          "span rejected on " + g_.vertex(v).path + ": " +
+          span.error().message + (undone ? "" : "; rollback incomplete"));
+    }
+    *slot = *span;
+  }
+  return util::Status::ok();
+}
+
+util::Status Traverser::replace_spans(JobRecord& rec, JobRecord&& next) {
+  const std::size_t n = span_count(rec);
+  std::string why;
+  std::size_t removed = 0;
+  for (; removed < n; ++removed) {
+    util::Status st =
+        fault_fires("swap:rem")
+            ? util::Status(Errc::internal, "injected fault at swap:rem")
+            : rem_span_at(rec, removed);
+    if (!st) {
+      why = "removing " + st.error().message;
+      break;
+    }
+  }
+  if (removed == n) {
+    auto st = add_spans(next, span_count(next));
+    if (st) {
+      rec = std::move(next);
+      return util::Status::ok();
+    }
+    why = "adding " + st.error().message;
+  }
+  // Put back what was taken out; the planners hold exactly rec's spans
+  // again unless this fails too.
+  const bool restored = static_cast<bool>(add_spans(rec, removed));
+  return util::internal_error("span swap failed: " + why +
+                              (restored ? "" : "; rollback incomplete"));
+}
+
 util::Status Traverser::release_record(JobRecord& rec) {
   // Release everything we can even if one removal fails — leaving spans
   // behind because an earlier one was already gone only compounds the
   // damage. The first failure is reported as corruption.
-  bool failed = false;
   std::string detail;
-  auto note = [&](const util::Status& st, const char* what, VertexId v) {
-    if (st || failed) return;
-    failed = true;
-    detail = std::string("release_record: ") + what + " rem_span failed on " +
-             g_.vertex(v).path + ": " + st.error().message;
-  };
-  for (auto& cc : rec.claims) {
-    note(g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span), "schedule",
-         cc.claim.vertex);
-  }
-  for (auto& [v, id] : rec.shared_spans) {
-    note(g_.vertex(v).x_checker->rem_span(id), "shared-use", v);
-  }
-  for (auto& fs : rec.filter_spans) {
-    note(g_.vertex(fs.vertex).filter->rem_span(fs.span), "pruning filter",
-         fs.vertex);
+  const std::size_t n = span_count(rec);
+  for (std::size_t k = 0; k < n; ++k) {
+    auto st = rem_span_at(rec, k);
+    if (!st && detail.empty()) {
+      detail = "release_record: " + st.error().message;
+    }
   }
   rec.claims.clear();
   rec.shared_spans.clear();
   rec.filter_spans.clear();
-  if (failed) return util::internal_error(std::move(detail));
+  if (!detail.empty()) return util::internal_error(std::move(detail));
   return util::Status::ok();
+}
+
+std::vector<Traverser::FilterSpan> Traverser::derive_filter_spans(
+    const std::vector<CommittedClaim>& claims) const {
+  // Only the ancestors of claimed vertices are touched, with the aggregate
+  // amounts claimed beneath each of them. Grow extensions may hold claims
+  // over distinct windows, so aggregate per (ancestor, window).
+  std::map<std::tuple<VertexId, TimePoint, Duration>, FilterSpan> updates;
+  for (const CommittedClaim& cc : claims) {
+    if (cc.claim.under_exclusive) continue;  // covered by the enclosing instance
+    std::map<util::InternId, std::int64_t> contribution;
+    if (cc.claim.whole_instance) {
+      contribution = g_.subtree_counts(cc.claim.vertex);
+    } else {
+      contribution[g_.vertex(cc.claim.vertex).type] = cc.claim.units;
+    }
+    for (VertexId a = cc.claim.vertex; a != graph::kInvalidVertex;
+         a = g_.vertex(a).containment_parent) {
+      const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
+      if (filter == nullptr) continue;
+      FilterSpan& fs =
+          updates
+              .try_emplace({a, cc.window.start, cc.window.duration},
+                           FilterSpan{a, cc.window, {}})
+              .first->second;
+      fs.counts.resize(filter->resource_count(), 0);
+      for (const auto& [type, amount] : contribution) {
+        if (auto idx = filter->index_of(g_.type_name(type))) {
+          fs.counts[*idx] += amount;
+        }
+      }
+    }
+  }
+  std::vector<FilterSpan> out;
+  for (auto& [key, fs] : updates) {
+    if (std::any_of(fs.counts.begin(), fs.counts.end(),
+                    [](std::int64_t c) { return c != 0; })) {
+      out.push_back(std::move(fs));
+    }
+  }
+  return out;
 }
 
 util::Status Traverser::apply_selection(JobRecord& rec,
                                         const util::TimeWindow& w,
                                         const Selection& sel) {
-  const std::size_t claims_mark = rec.claims.size();
-  const std::size_t shared_mark = rec.shared_spans.size();
-  const std::size_t filter_mark = rec.filter_spans.size();
-  auto abort = [&](const char* what) -> util::Error {
-    bool rollback_ok = true;
-    while (rec.claims.size() > claims_mark) {
-      rollback_ok &= static_cast<bool>(
-          g_.vertex(rec.claims.back().claim.vertex)
-              .schedule->rem_span(rec.claims.back().span));
-      rec.claims.pop_back();
-    }
-    while (rec.shared_spans.size() > shared_mark) {
-      auto& [v, id] = rec.shared_spans.back();
-      rollback_ok &= static_cast<bool>(g_.vertex(v).x_checker->rem_span(id));
-      rec.shared_spans.pop_back();
-    }
-    while (rec.filter_spans.size() > filter_mark) {
-      auto& fs = rec.filter_spans.back();
-      rollback_ok &=
-          static_cast<bool>(g_.vertex(fs.vertex).filter->rem_span(fs.span));
-      rec.filter_spans.pop_back();
-    }
-    return util::internal_error(
-        std::string("apply_selection failed: ") + what +
-        (rollback_ok ? "" : "; rollback incomplete"));
-  };
-
-  for (const Claim& c : sel.claims) {
-    auto span = add_span_checked(*g_.vertex(c.vertex).schedule, "apply:claim",
-                                 w.start, w.duration, c.units);
-    if (!span) return abort("schedule span rejected");
-    rec.claims.push_back({c, w, *span});
-  }
-  for (VertexId v : sel.shared_marks) {
-    auto span = add_span_checked(*g_.vertex(v).x_checker, "apply:shared",
-                                 w.start, w.duration, 1);
-    if (!span) return abort("shared-use span rejected");
-    rec.shared_spans.emplace_back(v, *span);
-  }
-
-  // Scheduler-Driven Filter Updates (paper §3.4): only the ancestors of
-  // selected vertices are touched, with the aggregate amounts the
-  // selection consumed beneath each of them.
-  std::map<VertexId, std::vector<std::int64_t>> filter_updates;
-  for (const Claim& c : sel.claims) {
-    if (c.under_exclusive) continue;  // covered by the enclosing instance
-    std::map<util::InternId, std::int64_t> contribution;
-    if (c.whole_instance) {
-      contribution = g_.subtree_counts(c.vertex);
-    } else {
-      contribution[g_.vertex(c.vertex).type] = c.units;
-    }
-    for (VertexId a = c.vertex; a != graph::kInvalidVertex;
-         a = g_.vertex(a).containment_parent) {
-      const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
-      if (filter == nullptr) continue;
-      auto& counts = filter_updates[a];
-      counts.resize(filter->resource_count(), 0);
-      for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of(g_.type_name(type))) {
-          counts[*idx] += amount;
-        }
-      }
-    }
-  }
-  for (auto& [v, counts] : filter_updates) {
-    if (std::all_of(counts.begin(), counts.end(),
-                    [](std::int64_t c) { return c == 0; })) {
-      continue;
-    }
-    auto span =
-        add_multi_checked(*g_.vertex(v).filter, "apply:filter", w.start,
-                          w.duration, counts);
-    if (!span) return abort("pruning filter span rejected");
-    rec.filter_spans.push_back({v, *span, w, counts});
-  }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    const std::size_t added = rec.filter_spans.size() - filter_mark;
-    m.sdfu_commits.inc();
-    m.sdfu_spans.inc(added);
-    m.sdfu_spans_per_commit.add(static_cast<double>(added));
-  }
+  JobRecord frag;
+  frag.claims.reserve(sel.claims.size());
+  for (const Claim& c : sel.claims) frag.claims.push_back({c, w});
+  frag.shared_spans.reserve(sel.shared_marks.size());
+  for (VertexId v : sel.shared_marks) frag.shared_spans.push_back({v, w});
+  // Scheduler-Driven Filter Updates (paper §3.4).
+  frag.filter_spans = derive_filter_spans(frag.claims);
+  if (auto st = add_spans(frag, span_count(frag)); !st) return st;
+  count_sdfu(frag.filter_spans.size());
+  append(rec.claims, frag.claims);
+  append(rec.shared_spans, frag.shared_spans);
+  append(rec.filter_spans, frag.filter_spans);
   return util::Status::ok();
 }
 
@@ -682,7 +756,6 @@ util::Expected<MatchResult> Traverser::grow_impl(JobId job,
   scratch_.stats = TraverserStats{};
   scratch_.mode = mode_;
   ++scratch_.stats.match_attempts;
-  if (obs::enabled()) obs::monitor().trav_match_attempts.inc();
   Selection sel;
   for (const jobspec::Resource& r : extra.resources) {
     if (!satisfy(r, root_, r.count, /*under_slot=*/false,
@@ -715,59 +788,21 @@ util::Status Traverser::shrink_impl(JobId job, VertexId vertex) {
                            p.compare(0, prefix.size(), prefix) == 0 &&
                            p[prefix.size()] == '/');
   };
-  std::vector<std::size_t> drop_idx;
-  for (std::size_t i = 0; i < rec.claims.size(); ++i) {
-    if (within(rec.claims[i].claim.vertex)) drop_idx.push_back(i);
+  JobRecord next;
+  next.result = rec.result;
+  for (const CommittedClaim& cc : rec.claims) {
+    if (!within(cc.claim.vertex)) next.claims.push_back(cc);
   }
-  if (drop_idx.empty()) {
+  if (next.claims.size() == rec.claims.size()) {
     return util::Error{Errc::not_found, "shrink: job holds nothing there"};
   }
-  auto readd = [&](CommittedClaim& cc) {
-    auto back = g_.vertex(cc.claim.vertex)
-                    .schedule->add_span(cc.window.start, cc.window.duration,
-                                        cc.claim.units);
-    cc.span = back ? *back : planner::kInvalidSpan;
-    return static_cast<bool>(back);
-  };
-  // Release the subtree's schedule spans; on a failed removal, restore the
-  // ones already released and report corruption.
-  std::vector<std::size_t> removed;
-  for (std::size_t i : drop_idx) {
-    CommittedClaim& cc = rec.claims[i];
-    auto st = fault_fires("shrink:rem")
-                  ? util::Status(util::internal_error("shrink: injected fault"))
-                  : g_.vertex(cc.claim.vertex).schedule->rem_span(cc.span);
-    if (!st) {
-      bool rollback_ok = true;
-      for (std::size_t j : removed) rollback_ok &= readd(rec.claims[j]);
-      return util::internal_error(
-          "shrink: releasing " + g_.vertex(cc.claim.vertex).path +
-          " failed: " + st.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    removed.push_back(i);
-  }
-  std::vector<CommittedClaim> original = rec.claims;
-  std::vector<CommittedClaim> kept;
-  kept.reserve(rec.claims.size() - drop_idx.size());
-  for (std::size_t i = 0; i < rec.claims.size(); ++i) {
-    if (!within(rec.claims[i].claim.vertex)) kept.push_back(rec.claims[i]);
-  }
-  rec.claims = std::move(kept);
   // Shared-use marks under the released subtree stay in place: they cost
   // nothing and conservatively keep the walked chain non-exclusive until
   // the job ends.
-  if (auto st = rebuild_filter_spans(rec); !st) {
-    // rebuild restored the prior filter spans; restore the claims too.
-    rec.claims = std::move(original);
-    bool rollback_ok = true;
-    for (std::size_t i : drop_idx) rollback_ok &= readd(rec.claims[i]);
-    if (!rollback_ok) {
-      return util::internal_error("shrink: " + st.error().message +
-                                  "; rollback incomplete");
-    }
-    return st;
-  }
+  next.shared_spans = rec.shared_spans;
+  next.filter_spans = derive_filter_spans(next.claims);
+  if (auto st = replace_spans(rec, std::move(next)); !st) return st;
+  count_sdfu(rec.filter_spans.size());
   refresh_resources(rec);
   return util::Status::ok();
 }
@@ -804,10 +839,8 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
     }
   }
   std::map<VertexId, std::int64_t> shared_tail;
-  for (auto& [v, id] : rec.shared_spans) {
-    const planner::Span* s = g_.vertex(v).x_checker->find_span(id);
-    FLUXION_CHECK(s != nullptr, "extend: shared-use span vanished");
-    if (s->last == old_end) shared_tail[v] += 1;
+  for (const SharedSpan& ss : rec.shared_spans) {
+    if (ss.window.end() == old_end) shared_tail[ss.vertex] += 1;
   }
   for (const auto& [v, walkers] : shared_tail) {
     if (!g_.vertex(v).x_checker->avail_during(old_end, extra, walkers)) {
@@ -831,238 +864,22 @@ util::Status Traverser::extend_impl(JobId job, Duration extra) {
     }
   }
 
-  // Commit: replace each end-reaching span with a longer one (nothing can
-  // grab the vacated window in between — the engine is single-threaded).
-  // A failing swap means the state diverged from the feasibility probe:
-  // undo every completed swap and report corruption.
-  std::vector<CommittedClaim*> swapped_claims;
-  auto rollback_claims = [&]() {
-    bool ok = true;
-    for (CommittedClaim* cc : swapped_claims) {
-      planner::Planner& p = *g_.vertex(cc->claim.vertex).schedule;
-      ok &= static_cast<bool>(p.rem_span(cc->span));
-      cc->window.duration -= extra;
-      auto back = p.add_span(cc->window.start, cc->window.duration,
-                             cc->claim.units);
-      cc->span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
+  // Commit: swap in the same record with every window that ends at
+  // old_end lengthened (nothing can grab the vacated window in between —
+  // the engine is single-threaded).
+  JobRecord next = rec;
+  next.result.duration += extra;
+  auto lengthen = [&](util::TimeWindow& w) {
+    if (w.end() == old_end) w.duration += extra;
   };
-  for (CommittedClaim& cc : rec.claims) {
-    if (cc.window.end() != old_end) continue;
-    planner::Planner& p = *g_.vertex(cc.claim.vertex).schedule;
-    auto st = p.rem_span(cc.span);
-    auto span = st ? add_span_checked(p, "extend:claim", cc.window.start,
-                                      cc.window.duration + extra,
-                                      cc.claim.units)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {  // old span removed but not replaced: put it back
-        auto back = p.add_span(cc.window.start, cc.window.duration,
-                               cc.claim.units);
-        cc.span = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: schedule span swap failed on " + g_.vertex(cc.claim.vertex).path +
-          ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    cc.window.duration += extra;
-    cc.span = *span;
-    swapped_claims.push_back(&cc);
-  }
-  struct SharedSwap {
-    std::pair<VertexId, planner::SpanId>* entry;
-    TimePoint start;
-    Duration old_d;
-  };
-  std::vector<SharedSwap> swapped_shared;
-  auto rollback_shared = [&]() {
-    bool ok = true;
-    for (const SharedSwap& sw : swapped_shared) {
-      planner::Planner& x = *g_.vertex(sw.entry->first).x_checker;
-      ok &= static_cast<bool>(x.rem_span(sw.entry->second));
-      auto back = x.add_span(sw.start, sw.old_d, 1);
-      sw.entry->second = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
-  };
-  for (auto& entry : rec.shared_spans) {
-    planner::Planner& x = *g_.vertex(entry.first).x_checker;
-    const planner::Span* s = x.find_span(entry.second);
-    FLUXION_CHECK(s != nullptr, "extend: shared-use span vanished mid-commit");
-    if (s->last != old_end) continue;
-    const TimePoint start = s->start;
-    const Duration old_d = s->last - s->start;
-    auto st = x.rem_span(entry.second);
-    auto span = st ? add_span_checked(x, "extend:shared", start,
-                                      old_d + extra, 1)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {
-        auto back = x.add_span(start, old_d, 1);
-        entry.second = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_shared();
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: shared-use span swap failed on " + g_.vertex(entry.first).path +
-          ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    entry.second = *span;
-    swapped_shared.push_back({&entry, start, old_d});
-  }
-  std::vector<FilterSpan*> swapped_filters;
-  auto rollback_filters = [&]() {
-    bool ok = true;
-    for (FilterSpan* fs : swapped_filters) {
-      planner::PlannerMulti& f = *g_.vertex(fs->vertex).filter;
-      ok &= static_cast<bool>(f.rem_span(fs->span));
-      fs->window.duration -= extra;
-      auto back = f.add_span(fs->window.start, fs->window.duration,
-                             fs->counts);
-      fs->span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    return ok;
-  };
-  for (FilterSpan& fs : rec.filter_spans) {
-    if (fs.window.end() != old_end) continue;
-    planner::PlannerMulti& f = *g_.vertex(fs.vertex).filter;
-    auto st = f.rem_span(fs.span);
-    auto span = st ? add_multi_checked(f, "extend:filter", fs.window.start,
-                                       fs.window.duration + extra, fs.counts)
-                   : util::Expected<planner::SpanId>(st.error());
-    if (!span) {
-      bool rollback_ok = true;
-      if (st) {
-        auto back = f.add_span(fs.window.start, fs.window.duration, fs.counts);
-        fs.span = back ? *back : planner::kInvalidSpan;
-        rollback_ok = static_cast<bool>(back);
-      }
-      rollback_ok &= rollback_filters();
-      rollback_ok &= rollback_shared();
-      rollback_ok &= rollback_claims();
-      return util::internal_error(
-          "extend: pruning filter span swap failed on " +
-          g_.vertex(fs.vertex).path + ": " + span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    fs.window.duration += extra;
-    fs.span = *span;
-    swapped_filters.push_back(&fs);
-  }
-
-  // Bookkeeping only after the last fallible step, so a failure above
-  // leaves duration and release_times_ exactly as they were.
-  rec.result.duration += extra;
+  for (CommittedClaim& cc : next.claims) lengthen(cc.window);
+  for (SharedSpan& ss : next.shared_spans) lengthen(ss.window);
+  for (FilterSpan& fs : next.filter_spans) lengthen(fs.window);
+  if (auto st = replace_spans(rec, std::move(next)); !st) return st;
   if (auto rt = release_times_.find(old_end); rt != release_times_.end()) {
     if (--rt->second == 0) release_times_.erase(rt);
   }
   release_times_[old_end + extra] += 1;
-  return util::Status::ok();
-}
-
-util::Status Traverser::rebuild_filter_spans(JobRecord& rec) {
-  // Re-derive per (ancestor, window) — grow extensions may have distinct
-  // windows, so aggregate per pair.
-  std::map<std::pair<VertexId, TimePoint>,
-           std::pair<util::TimeWindow, std::vector<std::int64_t>>>
-      updates;
-  for (const CommittedClaim& cc : rec.claims) {
-    if (cc.claim.under_exclusive) continue;
-    std::map<util::InternId, std::int64_t> contribution;
-    if (cc.claim.whole_instance) {
-      contribution = g_.subtree_counts(cc.claim.vertex);
-    } else {
-      contribution[g_.vertex(cc.claim.vertex).type] = cc.claim.units;
-    }
-    for (VertexId a = cc.claim.vertex; a != graph::kInvalidVertex;
-         a = g_.vertex(a).containment_parent) {
-      const planner::PlannerMulti* filter = g_.vertex(a).filter.get();
-      if (filter == nullptr) continue;
-      auto& entry = updates[{a, cc.window.start}];
-      entry.first = cc.window;
-      entry.second.resize(filter->resource_count(), 0);
-      for (const auto& [type, amount] : contribution) {
-        if (auto idx = filter->index_of(g_.type_name(type))) {
-          entry.second[*idx] += amount;
-        }
-      }
-    }
-  }
-  // Swap the old span set for the new one transactionally: tear down the
-  // old spans (kept aside with their windows and counts), add the new
-  // ones, and on any failure restore the exact prior set.
-  std::vector<FilterSpan> old = std::move(rec.filter_spans);
-  rec.filter_spans.clear();
-  auto restore_old = [&]() {
-    bool ok = true;
-    for (FilterSpan& fs : rec.filter_spans) {
-      ok &= static_cast<bool>(g_.vertex(fs.vertex).filter->rem_span(fs.span));
-    }
-    rec.filter_spans.clear();
-    for (FilterSpan& fs : old) {
-      auto back = g_.vertex(fs.vertex).filter->add_span(
-          fs.window.start, fs.window.duration, fs.counts);
-      fs.span = back ? *back : planner::kInvalidSpan;
-      ok &= static_cast<bool>(back);
-    }
-    rec.filter_spans = std::move(old);
-    return ok;
-  };
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    auto st = g_.vertex(old[i].vertex).filter->rem_span(old[i].span);
-    if (!st) {
-      const std::string path = g_.vertex(old[i].vertex).path;
-      const std::string inner = st.error().message;
-      // Entries before i were removed and must come back; entries from i
-      // on (including the failed one) still hold live spans.
-      bool rollback_ok = true;
-      for (std::size_t j = 0; j < i; ++j) {
-        auto back = g_.vertex(old[j].vertex).filter->add_span(
-            old[j].window.start, old[j].window.duration, old[j].counts);
-        old[j].span = back ? *back : planner::kInvalidSpan;
-        rollback_ok &= static_cast<bool>(back);
-      }
-      rec.filter_spans = std::move(old);
-      return util::internal_error(
-          "rebuild_filter_spans: removing the filter span at " + path +
-          " failed: " + inner + (rollback_ok ? "" : "; rollback incomplete"));
-    }
-  }
-  for (auto& [key, entry] : updates) {
-    if (std::all_of(entry.second.begin(), entry.second.end(),
-                    [](std::int64_t c) { return c == 0; })) {
-      continue;
-    }
-    auto span = add_multi_checked(*g_.vertex(key.first).filter, "rebuild:add",
-                                  entry.first.start, entry.first.duration,
-                                  entry.second);
-    if (!span) {
-      const std::string path = g_.vertex(key.first).path;
-      const bool rollback_ok = restore_old();
-      return util::internal_error(
-          "rebuild_filter_spans: filter span rejected at " + path + ": " +
-          span.error().message +
-          (rollback_ok ? "" : "; rollback incomplete"));
-    }
-    rec.filter_spans.push_back({key.first, *span, entry.first, entry.second});
-  }
-  if (obs::enabled()) {
-    auto& m = obs::monitor();
-    m.sdfu_commits.inc();
-    m.sdfu_spans.inc(rec.filter_spans.size());
-    m.sdfu_spans_per_commit.add(static_cast<double>(rec.filter_spans.size()));
-  }
   return util::Status::ok();
 }
 
@@ -1290,15 +1107,8 @@ util::Expected<MatchResult> Traverser::restore_impl(
     }
   }
 
-  JobRecord rec;
-  rec.result = allocation;
-  rec.result.reserved = false;
-  if (auto st = apply_selection(rec, w, sel); !st) return st.error();
-  refresh_resources(rec);
-  const MatchResult result = rec.result;
-  jobs_.emplace(allocation.job, std::move(rec));
-  release_times_[w.end()] += 1;
-  return result;
+  // Committed as a match probed at its own start: never reserved.
+  return commit_selection(allocation.job, w, w.start, sel);
 }
 
 util::Status Traverser::cancel_impl(JobId job) {
@@ -1350,6 +1160,17 @@ void Traverser::fold_stats(const TraverserStats& d) noexcept {
   stats_.match_attempts += d.match_attempts;
   stats_.first_match_stops += d.first_match_stops;
   stats_.postorder_rejects += d.postorder_rejects;
+  // The obs twins count the same committed deltas, so the two agree by
+  // construction and uncommitted probes (replica queries) touch neither.
+  if (obs::enabled()) {
+    auto& m = obs::monitor();
+    m.trav_visits.inc(d.visits);
+    m.trav_pruned.inc(d.pruned);
+    m.trav_status_pruned.inc(d.status_pruned);
+    m.trav_match_attempts.inc(d.match_attempts);
+    m.trav_first_match_stops.inc(d.first_match_stops);
+    m.trav_postorder_rejects.inc(d.postorder_rejects);
+  }
 }
 
 util::Expected<MatchResult> Traverser::commit(Probe&& p) {
@@ -1544,26 +1365,6 @@ bool Traverser::fault_fires(const char* point) {
   if (fault_point_.empty() || fault_point_ != point) return false;
   fault_point_.clear();
   return true;
-}
-
-util::Expected<planner::SpanId> Traverser::add_span_checked(
-    planner::Planner& p, const char* point, TimePoint start, Duration d,
-    std::int64_t amount) {
-  if (fault_fires(point)) {
-    return util::Error{Errc::resource_busy,
-                       std::string("injected fault at ") + point};
-  }
-  return p.add_span(start, d, amount);
-}
-
-util::Expected<planner::SpanId> Traverser::add_multi_checked(
-    planner::PlannerMulti& p, const char* point, TimePoint start, Duration d,
-    const std::vector<std::int64_t>& counts) {
-  if (fault_fires(point)) {
-    return util::Error{Errc::resource_busy,
-                       std::string("injected fault at ") + point};
-  }
-  return p.add_span(start, d, counts);
 }
 
 const MatchResult* Traverser::find_job(JobId job) const {

@@ -306,39 +306,49 @@ class Traverser {
   /// Test hook: make the next internal planner operation tagged `point`
   /// fail, driving the rollback paths that no public call sequence can
   /// reach (they only fire on state corruption). Points: "apply:claim",
-  /// "apply:shared", "apply:filter", "rebuild:add", "shrink:rem",
-  /// "extend:claim", "extend:shared", "extend:filter".
+  /// "apply:shared", "apply:filter" (the add routine, adding a schedule,
+  /// shared-use or pruning-filter span — match, restore, grow, and the add
+  /// half of every shrink/extend swap) and "swap:rem" (the swap routine
+  /// removing one of the job's current spans).
   void fail_next(std::string point) { fault_point_ = std::move(point); }
 
  private:
   /// The binary snapshot codec serialises job records (claims, shared
-  /// marks, filter spans) and re-commits them span by span on load.
+  /// marks, filter spans) and re-commits them through add_spans on load.
   friend class fluxion::snapshot::EngineSnapshot;
 
-  /// One committed claim: which vertex, how much, over which window (grow
-  /// extensions may cover a suffix of the job window), and the schedule
-  /// span backing it.
+  // A JobRecord holds every planner span a committed job owns. Each entry
+  // describes itself — vertex, window and amount — so the add routine can
+  // (re)create it and the swap routine can put it back; `span` is the id
+  // the planner returned, kInvalidSpan while the entry is not added.
+
+  /// One committed claim (schedule span). Grow extensions may cover a
+  /// suffix of the job window.
   struct CommittedClaim {
     Claim claim;
     util::TimeWindow window;
-    planner::SpanId span;
+    planner::SpanId span = planner::kInvalidSpan;
   };
 
-  /// One committed pruning-filter span. Window and counts are recorded so
-  /// failed rebuilds/extensions can restore the exact prior span (the
-  /// planner retires span ids on removal).
+  /// One shared walk through a vertex (x_checker span of one unit).
+  struct SharedSpan {
+    VertexId vertex;
+    util::TimeWindow window;
+    planner::SpanId span = planner::kInvalidSpan;
+  };
+
+  /// One pruning-filter span (SDFU aggregate below `vertex`).
   struct FilterSpan {
     VertexId vertex;
-    planner::SpanId span;
     util::TimeWindow window;
     std::vector<std::int64_t> counts;
+    planner::SpanId span = planner::kInvalidSpan;
   };
 
   struct JobRecord {
     MatchResult result;
     std::vector<CommittedClaim> claims;
-    // (vertex, span) pairs to undo on cancel.
-    std::vector<std::pair<VertexId, planner::SpanId>> shared_spans;
+    std::vector<SharedSpan> shared_spans;
     std::vector<FilterSpan> filter_spans;
   };
 
@@ -404,17 +414,38 @@ class Traverser {
   util::Expected<MatchResult> commit_selection(JobId job,
                                                const util::TimeWindow& w,
                                                TimePoint now, Selection& sel);
-  /// Fold a consumed probe's stats delta into the lifetime counters.
+  /// Fold a consumed probe's stats delta into the lifetime counters and,
+  /// when obs is enabled, into the obs catalogue's traverser counters.
   void fold_stats(const TraverserStats& d) noexcept;
   /// Turn a selection into committed spans appended to `rec` (schedule,
-  /// shared-use and pruning-filter spans). Rolls `rec` back to its prior
-  /// length on failure.
+  /// shared-use and pruning-filter spans). Leaves `rec` unchanged on
+  /// failure.
   util::Status apply_selection(JobRecord& rec, const util::TimeWindow& w,
                                const Selection& sel);
-  /// Drop and re-derive every pruning-filter span from rec.claims.
-  /// Transactional: on failure the prior filter spans are restored and an
-  /// Errc::internal error is returned.
-  util::Status rebuild_filter_spans(JobRecord& rec);
+  /// SDFU (paper §3.4): the pruning-filter spans `claims` imply — one per
+  /// (filtered ancestor, window) with the amounts consumed beneath it, in
+  /// (vertex, window) order; all-zero aggregates are dropped.
+  std::vector<FilterSpan> derive_filter_spans(
+      const std::vector<CommittedClaim>& claims) const;
+
+  // The only places planner spans of committed jobs are added or removed:
+  // add_spans, replace_spans and release_record (through rem_span_at).
+  // Spans are ordered schedule claims, then shared-use marks, then filter
+  // spans; `k` indexes that order.
+  static std::size_t span_count(const JobRecord& rec) noexcept {
+    return rec.claims.size() + rec.shared_spans.size() +
+           rec.filter_spans.size();
+  }
+  /// The transactional add: add the first `n` spans of `rec`. On failure
+  /// remove the ones it added and return Errc::internal.
+  util::Status add_spans(JobRecord& rec, std::size_t n);
+  /// The transactional swap: remove rec's spans, add next's, and move
+  /// `next` into `rec`. On any failure rec's spans are put back and
+  /// Errc::internal is returned ("rollback incomplete" when even that
+  /// fails).
+  util::Status replace_spans(JobRecord& rec, JobRecord&& next);
+  /// Remove span `k` of `rec` from its planner.
+  util::Status rem_span_at(JobRecord& rec, std::size_t k);
   /// Recompute rec.result.resources from rec.claims.
   void refresh_resources(JobRecord& rec) const;
   /// Release every span held by rec (best effort: keeps going past a
@@ -441,14 +472,6 @@ class Traverser {
   /// True when the pending injected fault (fail_next) matches `point`;
   /// consumes it.
   bool fault_fires(const char* point);
-  /// add_span with an injection point for the fault hook.
-  util::Expected<planner::SpanId> add_span_checked(planner::Planner& p,
-                                                   const char* point,
-                                                   TimePoint start, Duration d,
-                                                   std::int64_t amount);
-  util::Expected<planner::SpanId> add_multi_checked(
-      planner::PlannerMulti& p, const char* point, TimePoint start, Duration d,
-      const std::vector<std::int64_t>& counts);
 
   graph::ResourceGraph& g_;
   VertexId root_;

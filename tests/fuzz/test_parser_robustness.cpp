@@ -250,6 +250,43 @@ TEST(ParserRobustness, JgfUnknownEdgeEndpointsNamed) {
   }
 }
 
+// A cluster -> node chain of `levels` vertices as JGF, edges listed
+// top-down or bottom-up.
+std::string jgf_chain(std::size_t levels, bool bottom_up) {
+  std::string text = R"({"graph":{"nodes":[)";
+  for (std::size_t i = 0; i < levels; ++i) {
+    if (i > 0) text += ",";
+    text += R"({"id":")" + std::to_string(i) + R"(","metadata":{"type":")" +
+            (i == 0 ? "cluster" : "node") + R"(","name":"v)" +
+            std::to_string(i) + R"(","size":1}})";
+  }
+  text += R"(],"edges":[)";
+  for (std::size_t k = 0; k + 1 < levels; ++k) {
+    const std::size_t i = bottom_up ? levels - 2 - k : k;
+    if (k > 0) text += ",";
+    text += R"({"source":")" + std::to_string(i) + R"(","target":")" +
+            std::to_string(i + 1) + R"("})";
+  }
+  return text + "]}}";
+}
+
+TEST(ParserRobustness, JgfContainmentDepthLimit) {
+  // Every vertex stores its full path, so an unbounded chain costs
+  // O(depth^2) bytes; the reader must stop at the graph's depth limit
+  // whichever order the edges arrive in.
+  for (bool bottom_up : {false, true}) {
+    auto ok = writers::read_jgf(
+        jgf_chain(graph::kMaxContainmentDepth, bottom_up), 0, 1000);
+    ASSERT_TRUE(ok) << ok.error().message;
+    EXPECT_TRUE(ok->graph->validate());
+    auto deep = writers::read_jgf(
+        jgf_chain(graph::kMaxContainmentDepth + 1, bottom_up), 0, 1000);
+    ASSERT_FALSE(deep) << bottom_up;
+    EXPECT_NE(deep.error().message.find("deeper than"), std::string::npos)
+        << deep.error().message;
+  }
+}
+
 TEST(ParserRobustness, JgfMalformedEdgesNeverCrash) {
   // Mutation fuzzing over seeds that are *already* malformed (dangling
   // endpoints, missing fields, self-edges): the reader must keep

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "grug/grug.hpp"
+
 namespace fluxion::graph {
 namespace {
 
@@ -247,6 +251,68 @@ TEST(ResourceGraph, ContainmentTwoCycleRejected) {
   EXPECT_EQ(g.vertex(a).containment_parent, kInvalidVertex);
   EXPECT_EQ(g.vertex(b).path, "/rack0/node0");
   EXPECT_TRUE(g.validate());
+}
+
+// A chain of `levels` vertices (root = level 1), linked top-down or
+// bottom-up; returns the status of the last link.
+util::Status build_chain(ResourceGraph& g, std::size_t levels,
+                         bool bottom_up) {
+  std::vector<VertexId> chain;
+  for (std::size_t i = 0; i < levels; ++i) {
+    chain.push_back(g.add_vertex("node", "node", static_cast<std::int64_t>(i),
+                                 1));
+  }
+  util::Status last = util::Status::ok();
+  for (std::size_t k = 0; k + 1 < levels; ++k) {
+    const std::size_t i = bottom_up ? levels - 2 - k : k;
+    last = g.add_containment(chain[i], chain[i + 1]);
+    if (!last) return last;
+  }
+  return last;
+}
+
+TEST(ResourceGraph, ContainmentDepthLimitInBothEdgeOrders) {
+  for (bool bottom_up : {false, true}) {
+    ResourceGraph ok(0, 100);
+    EXPECT_TRUE(build_chain(ok, kMaxContainmentDepth, bottom_up))
+        << bottom_up;
+    EXPECT_TRUE(ok.validate());
+
+    ResourceGraph deep(0, 100);
+    const auto st = build_chain(deep, kMaxContainmentDepth + 1, bottom_up);
+    ASSERT_FALSE(st) << bottom_up;
+    EXPECT_EQ(st.error().code, Errc::invalid_argument);
+    EXPECT_NE(st.error().message.find("deeper than"), std::string::npos)
+        << st.error().message;
+    // Rejected before the edge was added: the graph holds exactly the
+    // limit's worth of links.
+    EXPECT_EQ(deep.edge_count(), 2 * (kMaxContainmentDepth - 1));
+    EXPECT_TRUE(deep.validate());
+  }
+}
+
+std::string grug_chain(std::size_t levels) {
+  std::string text = "cluster count=1\n";
+  for (std::size_t i = 1; i < levels; ++i) {
+    text += std::string(2 * i, ' ') + "node count=1\n";
+  }
+  return text;
+}
+
+TEST(ResourceGraph, GrugContainmentDepthLimit) {
+  for (std::size_t levels : {kMaxContainmentDepth, kMaxContainmentDepth + 1}) {
+    auto recipe = grug::parse(grug_chain(levels));
+    ASSERT_TRUE(recipe) << recipe.error().message;
+    ResourceGraph g(0, 100);
+    auto root = grug::build(g, *recipe);
+    if (levels <= kMaxContainmentDepth) {
+      EXPECT_TRUE(root) << root.error().message;
+    } else {
+      ASSERT_FALSE(root);
+      EXPECT_NE(root.error().message.find("deeper than"), std::string::npos)
+          << root.error().message;
+    }
+  }
 }
 
 }  // namespace

@@ -279,6 +279,30 @@ TEST_F(SnapshotFixture, ReplicaAgreesWithWriterAtSameEpoch) {
   EXPECT_TRUE((*rep)->satisfiable(whole_nodes(4, 10)));
 }
 
+TEST_F(SnapshotFixture, ReplicaQueriesLeaveTraverserCountersUnchanged) {
+  // Traverser counters count committed probes only. A replica's probes
+  // are never committed, so they must not move the obs catalogue that
+  // replicas share with the writer.
+  ASSERT_TRUE(trav->match(whole_nodes(1, 100),
+                          traverser::MatchOp::allocate, 0, 1));
+  auto rep = Replica::open(save_engine(g, *trav, nullptr));
+  ASSERT_TRUE(rep);
+  obs::set_enabled(true);
+  obs::monitor().reset();
+  const bool sat = (*rep)->satisfiable(whole_nodes(4, 10));
+  const auto start = (*rep)->earliest_start(whole_nodes(4, 10), 0);
+  const std::uint64_t visits = obs::monitor().trav_visits.value();
+  const std::uint64_t attempts = obs::monitor().trav_match_attempts.value();
+  const std::uint64_t queries = obs::monitor().replica_queries.value();
+  obs::set_enabled(false);
+  EXPECT_TRUE(sat);
+  ASSERT_TRUE(start);
+  EXPECT_EQ(*start, 100);
+  EXPECT_EQ(queries, 2u);  // both queries ran a probe
+  EXPECT_EQ(visits, 0u);
+  EXPECT_EQ(attempts, 0u);
+}
+
 // --- mutation-epoch regression (failed ops must not invalidate) -----------
 
 TEST_F(SnapshotFixture, FailedMutationsDoNotBumpEpoch) {

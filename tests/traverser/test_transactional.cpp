@@ -198,7 +198,7 @@ TEST_F(Transactional, ShrinkRollsBackOnRemovalFault) {
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
   const VertexId node = trav->find_job(1)->resources.front().vertex;
-  trav->fail_next("shrink:rem");
+  trav->fail_next("swap:rem");
   auto st = trav->shrink(1, node);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
@@ -214,7 +214,7 @@ TEST_F(Transactional, ShrinkRollsBackOnFilterRebuildFault) {
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
   const VertexId node = trav->find_job(1)->resources.front().vertex;
-  trav->fail_next("rebuild:add");
+  trav->fail_next("apply:filter");
   auto st = trav->shrink(1, node);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
@@ -230,7 +230,7 @@ TEST_F(Transactional, ExtendRollsBackOnEachSwapFault) {
   auto js = make({slot(1, {xres("node", 1, {res("core", 4)})})}, 100);
   ASSERT_TRUE(js);
   ASSERT_TRUE(trav->match(*js, MatchOp::allocate, 0, 1));
-  for (const char* point : {"extend:claim", "extend:shared", "extend:filter"}) {
+  for (const char* point : {"apply:claim", "apply:shared", "apply:filter"}) {
     trav->fail_next(point);
     auto st = trav->extend(1, 50);
     ASSERT_FALSE(st) << point;
@@ -258,7 +258,7 @@ TEST_F(Transactional, ExtendAfterShrinkAndGrowStaysTransactional) {
   ASSERT_TRUE(trav->grow(1, *extra, 40));
   ASSERT_TRUE(trav->audit());
 
-  trav->fail_next("extend:filter");
+  trav->fail_next("apply:filter");
   auto st = trav->extend(1, 50);
   ASSERT_FALSE(st);
   EXPECT_EQ(st.error().code, Errc::internal);
